@@ -500,9 +500,6 @@ func BenchmarkAblation_InjectionDomain(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput reports raw simulation speed (cycles/sec of
-// the golden RISC-V sha run), the "typical use of microarchitectural
-// simulators" the abstract mentions.
 // BenchmarkTracingOverhead quantifies the observability layer's cost on
 // the simulator hot path. "off" is the golden path — a nil Tracer, so
 // every emission site reduces to one nil check — and must stay within
@@ -603,28 +600,38 @@ func BenchmarkProfilingOverhead(b *testing.B) {
 	fmt.Printf("\nProfiling overhead: %v unprofiled -> %v profiled (%+.1f%%)\n", off, on, 100*overhead)
 }
 
+// BenchmarkSimulatorThroughput reports raw simulation speed (cycles/sec of
+// the golden sha run on each ISA), the "typical use of microarchitectural
+// simulators" the abstract mentions. Each op builds the system with
+// soc.New and runs it to the end, so allocs/op counts the cycle kernel's
+// allocations on top of the fixed cost of soc.New.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	spec, err := workloads.ByName("sha")
 	if err != nil {
 		b.Fatal(err)
 	}
-	img, err := program.Compile(isa.RV64L{}, spec.Build())
-	if err != nil {
-		b.Fatal(err)
-	}
 	pre := config.TableII()
-	var cycles uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys, err := soc.New(img, pre.CPU, pre.Hier, pre.MemLatency)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run(50_000_000)
-		if res.Status != soc.RunCompleted {
-			b.Fatal(res.Status)
-		}
-		cycles += res.Cycles
+	for _, a := range isa.All() {
+		b.Run(a.Name(), func(b *testing.B) {
+			img, err := program.Compile(a, spec.Build())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var cycles uint64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sys, err := soc.New(img, pre.CPU, pre.Hier, pre.MemLatency)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res := sys.Run(50_000_000)
+				if res.Status != soc.RunCompleted {
+					b.Fatal(res.Status)
+				}
+				cycles += res.Cycles
+			}
+			b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
+		})
 	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "simcycles/s")
 }

@@ -177,13 +177,19 @@ type CPU struct {
 	cycle uint64
 	seq   uint64
 
-	// Front end.
+	// Front end. fbuf is the window of fetched, not yet decoded bytes
+	// inside fstore, which holds FetchBytes+MaxInstLen bytes: fetch tops
+	// fbuf up only while it is shorter than MaxInstLen. dec is the one
+	// Decoded every instruction decodes into. fstore and uq's backing
+	// array belong to this core alone; Clone and ResetTo re-point them.
 	fetchPC        uint64
 	fetchBusyUntil uint64
 	fetchFault     bool
+	fstore         []byte
 	fbuf           []byte
 	fbufPC         uint64
 	uq             []fqUop
+	dec            isa.Decoded
 
 	bimodal []uint8
 
@@ -208,6 +214,10 @@ type CPU struct {
 	irq             bool
 	lastCommitCycle uint64
 
+	// mbuf stages the bytes of a load or store: a local array would
+	// escape to the heap through the MMIO bus on every access.
+	mbuf [8]byte
+
 	// MagicHook observes simulator directives (checkpoint, switch-cpu).
 	MagicHook func(sel int64, cycle uint64)
 	// CommitHook observes every committed micro-op (HVF tracing).
@@ -229,6 +239,8 @@ func New(arch isa.Arch, cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 		arch:    arch,
 		traits:  arch.Traits(),
 		hier:    hier,
+		fstore:  make([]byte, cfg.FetchBytes+arch.MaxInstLen()),
+		uq:      make([]fqUop, 0, cfg.Width*4+isa.MaxUops),
 		bimodal: make([]uint8, cfg.BimodalSize),
 		rmap:    make([]PReg, arch.NumRegs()),
 		prf:     NewPhysRegFile(cfg.NumPhysRegs),
@@ -257,8 +269,8 @@ func (c *CPU) Boot(entry, sp uint64, spReg isa.Reg) {
 		c.prf.SetInitial(c.rmap[spReg], sp)
 	}
 	c.fetchPC = entry
-	c.fbuf = nil
-	c.uq = nil
+	c.fbuf = c.fstore[:0]
+	c.uq = c.uq[:0]
 	c.robHead, c.robCount = 0, 0
 	c.iq = c.iq[:0]
 	c.lq.reset()
@@ -310,7 +322,7 @@ func (c *CPU) SQ() *LSQ { return c.sq }
 // same configuration.
 func (c *CPU) ResetTo(g *CPU) {
 	hier := c.hier
-	fbuf, uq, bimodal := c.fbuf, c.uq, c.bimodal
+	fstore, uq, bimodal := c.fstore, c.uq, c.bimodal
 	rmap, freeList := c.rmap, c.freeList
 	prf, rob, iq := c.prf, c.rob, c.iq
 	lq, sq, events := c.lq, c.sq, c.events
@@ -320,7 +332,8 @@ func (c *CPU) ResetTo(g *CPU) {
 	// slice and pointer fields are then re-pointed at c's own storage.
 	*c = *g
 	c.hier = hier
-	c.fbuf = append(fbuf[:0], g.fbuf...)
+	c.fstore = fstore
+	c.fbuf = fstore[:copy(fstore, g.fbuf)]
 	c.uq = append(uq[:0], g.uq...)
 	c.bimodal = bimodal
 	copy(c.bimodal, g.bimodal)
@@ -347,8 +360,9 @@ func (c *CPU) ResetTo(g *CPU) {
 func (c *CPU) Clone(hier *mem.Hierarchy) *CPU {
 	n := *c
 	n.hier = hier
-	n.fbuf = append([]byte(nil), c.fbuf...)
-	n.uq = append([]fqUop(nil), c.uq...)
+	n.fstore = make([]byte, len(c.fstore))
+	n.fbuf = n.fstore[:copy(n.fstore, c.fbuf)]
+	n.uq = append(make([]fqUop, 0, cap(c.uq)), c.uq...)
 	n.bimodal = append([]uint8(nil), c.bimodal...)
 	n.rmap = append([]PReg(nil), c.rmap...)
 	n.freeList = append([]PReg(nil), c.freeList...)

@@ -132,11 +132,11 @@ func (c *CPU) commitStore(e *robEntry) bool {
 	if size == 0 {
 		size = 1
 	}
-	var buf [8]byte
-	for i := 0; i < size; i++ {
+	buf := c.mbuf[:size]
+	for i := range buf {
 		buf[i] = byte(se.data >> (8 * i))
 	}
-	if _, err := c.hier.Store(se.addr, buf[:size]); err != nil {
+	if _, err := c.hier.Store(se.addr, buf); err != nil {
 		c.trap = &Trap{Code: TrapMemFault, PC: e.uop.PC, Addr: se.addr}
 		return false
 	}
@@ -298,14 +298,14 @@ func (c *CPU) tryLoad(le *lsqEntry) (loadStatus, uint64, int) {
 		}
 		return loadBlocked, 0, 0 // partial overlap: wait for commit
 	}
-	var buf [8]byte
-	lat, err := c.hier.Load(le.addr, buf[:size])
+	buf := c.mbuf[:size]
+	lat, err := c.hier.Load(le.addr, buf)
 	if err != nil {
 		return loadFaulted, 0, 0
 	}
 	var v uint64
-	for i := 0; i < size; i++ {
-		v |= uint64(buf[i]) << (8 * i)
+	for i, b := range buf {
+		v |= uint64(b) << (8 * i)
 	}
 	return loadFromMem, v, lat
 }
@@ -617,7 +617,7 @@ func (c *CPU) squashAfter(seq uint64, newPC uint64) {
 	c.iq = keptIQ
 
 	c.uq = c.uq[:0]
-	c.fbuf = nil
+	c.fbuf = c.fstore[:0]
 	c.fetchPC = newPC
 	c.fetchFault = false
 	if c.fetchBusyUntil > c.cycle+1 {
@@ -627,13 +627,17 @@ func (c *CPU) squashAfter(seq uint64, newPC uint64) {
 
 // --- Rename / dispatch ---
 
+// rename dispatches up to Width queued micro-ops in order, then drops the
+// dispatched ones from the front of the queue in one move so the queue
+// keeps its backing array.
 func (c *CPU) rename() {
 	n := 0
-	for n < c.cfg.Width && len(c.uq) > 0 {
-		fu := c.uq[0]
+dispatch:
+	for n < c.cfg.Width && n < len(c.uq) {
+		fu := &c.uq[n]
 		u := &fu.uop
 		if c.robCount == len(c.rob) {
-			return
+			break dispatch
 		}
 		needsIQ := false
 		switch u.Kind {
@@ -642,19 +646,19 @@ func (c *CPU) rename() {
 		case isa.KindLoad:
 			needsIQ = true
 			if c.lq.Full() {
-				return
+				break dispatch
 			}
 		case isa.KindStore:
 			needsIQ = true
 			if c.sq.Full() {
-				return
+				break dispatch
 			}
 		}
 		if needsIQ && len(c.iq) >= c.cfg.IQSize {
-			return
+			break dispatch
 		}
 		if u.Dst != isa.NoReg && len(c.freeList) == 0 {
-			return
+			break dispatch
 		}
 
 		c.seq++
@@ -707,8 +711,10 @@ func (c *CPU) rename() {
 		if needsIQ {
 			c.iq = append(c.iq, iqEntry{robIdx: idx, seq: e.seq})
 		}
-		c.uq = c.uq[1:]
 		n++
+	}
+	if n > 0 {
+		c.uq = c.uq[:copy(c.uq, c.uq[n:])]
 	}
 }
 
@@ -765,12 +771,12 @@ func (c *CPU) fetchDecode() {
 				return // miss in flight; bytes decode when it completes
 			}
 		}
-		pc := c.fbufPC
-		d := c.arch.Decode(pc, c.fbuf)
+		d := &c.dec
+		c.arch.Decode(c.fbufPC, c.fbuf, d)
 		redirect := uint64(0)
 		hasRedirect := false
 		stop := false
-		for _, u := range d.Uops {
+		for _, u := range d.Uops() {
 			fu := fqUop{uop: u}
 			switch u.Kind {
 			case isa.KindJump:
@@ -788,13 +794,13 @@ func (c *CPU) fetchDecode() {
 		}
 		decoded++
 		if hasRedirect {
-			c.fbuf = nil
+			c.fbuf = c.fstore[:0]
 			c.fetchPC = redirect
 			return // taken-control-flow fetch break
 		}
 		if stop {
 			// Do not speculate past a halt or an undecodable region.
-			c.fbuf = nil
+			c.fbuf = c.fstore[:0]
 			c.fetchFault = true
 			return
 		}
@@ -818,14 +824,16 @@ func (c *CPU) fetchChunk() bool {
 	if n > c.cfg.FetchBytes {
 		n = c.cfg.FetchBytes
 	}
-	buf := make([]byte, n)
-	lat, err := c.hier.Fetch(next, buf)
+	// Move the undecoded bytes to the front of the store and fetch
+	// straight in behind them.
+	have := copy(c.fstore, c.fbuf)
+	lat, err := c.hier.Fetch(next, c.fstore[have:have+n])
 	if err != nil {
-		if len(c.fbuf) >= 1 {
+		if have >= 1 {
 			// Pad with zeros so the trailing instruction decodes (likely
 			// to an illegal op) instead of wedging fetch.
-			pad := make([]byte, c.arch.MaxInstLen())
-			c.fbuf = append(c.fbuf, pad...)
+			c.fbuf = c.fstore[:have+c.arch.MaxInstLen()]
+			clear(c.fbuf[have:])
 			return true
 		}
 		// Fetching from an unmapped address: synthesize an illegal op so
@@ -836,7 +844,7 @@ func (c *CPU) fetchChunk() bool {
 		c.fetchFault = true
 		return false
 	}
-	c.fbuf = append(c.fbuf, buf...)
+	c.fbuf = c.fstore[:have+n]
 	c.fetchPC = next + uint64(n)
 	if lat > c.hier.L1I.Config().HitLat {
 		c.fetchBusyUntil = c.cycle + uint64(lat)

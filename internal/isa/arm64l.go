@@ -213,13 +213,19 @@ func ArmCSel(c Cond, rd, rn, rm Reg) (uint32, bool) {
 // WFI (sel=3).
 func ArmSys(sel int64) uint32 { return armEnc(armCondAL, armClsSys, uint32(sel)&0xFFFFFF) }
 
-// Decode implements Arch.
-func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
-	illu := NewUop(pc, pc+4)
-	illu.Kind, illu.Last = KindIllegal, true
-	illegal := Decoded{Uops: []MicroOp{illu}, Size: 4}
+// Decode implements Arch. Every encoding, legal or not, is four bytes.
+func (ARM64L) Decode(pc uint64, b []byte, d *Decoded) {
+	d.Size = 4
+	if !armDecode(pc, b, d) {
+		d.setIllegal(pc, 4)
+	}
+}
+
+// armDecode decodes one instruction into d.Ops and d.N, reporting false
+// for an illegal encoding.
+func armDecode(pc uint64, b []byte, d *Decoded) bool {
 	if len(b) < 4 {
-		return illegal
+		return false
 	}
 	w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 	cond := armConds[w>>28]
@@ -230,14 +236,15 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 	// A "never" condition turns any instruction into a nop.
 	if cond == CondNV && cls != armClsBranch {
 		u.Kind = KindNop
-		return Decoded{Uops: []MicroOp{u}, Size: 4}
+		d.Ops[0], d.N = u, 1
+		return true
 	}
 
 	switch cls {
 	case armClsALUReg:
 		op := AluOp(w >> 19 & 0x1F)
 		if op >= AluNumOps {
-			return illegal
+			return false
 		}
 		rd, rn, rm := Reg(w>>14&0x1F), Reg(w>>9&0x1F), Reg(w>>4&0x1F)
 		sh := w & 0xF
@@ -255,7 +262,7 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 	case armClsALUImm:
 		op := AluOp(w >> 19 & 0x1F)
 		if op >= AluNumOps {
-			return illegal
+			return false
 		}
 		rd, rn := Reg(w>>14&0x1F), Reg(w>>9&0x1F)
 		u.Kind, u.Alu, u.Dst, u.Src1, u.Src2 = KindALU, op, rd, rn, NoReg
@@ -279,7 +286,9 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 			clr.Imm = int64(^(uint64(0xFFFF) << (16 * hw)))
 			u.Kind, u.Alu = KindALU, AluOr
 			u.Dst, u.Src1, u.Imm = rd, ArmTmp1, int64(imm)
-			return armPredicate(cond, Decoded{Uops: []MicroOp{clr, u}, Size: 4})
+			d.Ops[0], d.Ops[1], d.N = clr, u, 2
+			armPredicate(cond, d.Uops())
+			return true
 		}
 		u.Kind, u.Alu, u.Dst, u.Src1, u.Src2 = KindALU, AluMovB, rd, NoReg, NoReg
 		u.Imm = int64(imm)
@@ -329,12 +338,14 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 		case 3:
 			u.Kind = KindWFI
 		default:
-			return illegal
+			return false
 		}
 	default:
-		return illegal
+		return false
 	}
-	return armPredicate(cond, Decoded{Uops: []MicroOp{u}, Size: 4})
+	d.Ops[0], d.N = u, 1
+	armPredicate(cond, d.Uops())
+	return true
 }
 
 // armPredicate applies a non-AL condition field to the decoded micro-ops:
@@ -343,12 +354,12 @@ func (a ARM64L) Decode(pc uint64, b []byte) Decoded {
 // Compiler-generated code always uses AL; predication appears when an
 // instruction-cache bit flip lands in the condition field, turning an
 // unconditional instruction into a conditional one.
-func armPredicate(cond Cond, d Decoded) Decoded {
+func armPredicate(cond Cond, uops []MicroOp) {
 	if cond == CondAL {
-		return d
+		return
 	}
-	for i := range d.Uops {
-		u := &d.Uops[i]
+	for i := range uops {
+		u := &uops[i]
 		switch u.Kind {
 		case KindALU, KindMul, KindDiv, KindLoad, KindStore:
 			u.Pred, u.SrcP = cond, ArmFlags
@@ -357,5 +368,4 @@ func armPredicate(cond Cond, d Decoded) Decoded {
 			}
 		}
 	}
-	return d
 }

@@ -11,10 +11,12 @@ import (
 //   - Decode never panics and never reads past MaxInstLen (enforced by
 //     handing it capacity-clamped windows of exactly MaxInstLen bytes —
 //     the fetch contract — so any over-read is an index panic);
-//   - Decode always makes progress: 1 <= Size <= MaxInstLen, at least
-//     one micro-op, and exactly the final micro-op carries Last (the
-//     commit boundary);
-//   - Decode is a pure function of (pc, bytes);
+//   - Decode always makes progress: 1 <= Size <= MaxInstLen,
+//     1 <= N <= MaxUops micro-ops, and exactly the final micro-op
+//     carries Last (the commit boundary);
+//   - Decode is a pure function of (pc, bytes): decoding into reused
+//     storage whose every slot holds garbage gives the same micro-ops
+//     and size as decoding into zeroed storage;
 //   - register-ALU encodings round-trip: encode → decode → re-encode
 //     from the decoded micro-op reproduces the original bytes on every
 //     ISA, so campaign fault coordinates stay stable across decoders.
@@ -46,28 +48,60 @@ func checkDecodeStream(t *testing.T, a Arch, data []byte) {
 	// window's capacity so reading byte max or beyond panics the fuzzer.
 	stream := append(append([]byte{}, data...), make([]byte, max)...)
 	const pc0 = uint64(0x1000)
+	// reused carries each instruction's result into the next decode, on
+	// top of garbage in every slot, the way the fetch unit reuses one
+	// Decoded for the whole stream.
+	reused := dirtyDecoded()
 	for off := 0; off < len(data); {
 		win := stream[off : off+max : off+max]
-		d := a.Decode(pc0+uint64(off), win)
+		pc := pc0 + uint64(off)
+		var d Decoded
+		a.Decode(pc, win, &d)
 		if d.Size < 1 || d.Size > max {
 			t.Fatalf("%s: size %d outside [1,%d] for % x", a.Name(), d.Size, max, win)
 		}
 		if fixed != 0 && d.Size != fixed {
 			t.Fatalf("%s: size %d on a fixed-%d-byte ISA for % x", a.Name(), d.Size, fixed, win)
 		}
-		if len(d.Uops) == 0 {
-			t.Fatalf("%s: no micro-ops for % x", a.Name(), win)
+		if d.N < 1 || d.N > MaxUops {
+			t.Fatalf("%s: %d micro-ops outside [1,%d] for % x", a.Name(), d.N, MaxUops, win)
 		}
-		for i, u := range d.Uops {
-			if got, want := u.Last, i == len(d.Uops)-1; got != want {
-				t.Fatalf("%s: uop %d/%d Last=%v for % x", a.Name(), i, len(d.Uops), got, win)
+		for i, u := range d.Uops() {
+			if got, want := u.Last, i == d.N-1; got != want {
+				t.Fatalf("%s: uop %d/%d Last=%v for % x", a.Name(), i, d.N, got, win)
 			}
 		}
-		if d2 := a.Decode(pc0+uint64(off), win); !reflect.DeepEqual(d, d2) {
+		var d2 Decoded
+		if a.Decode(pc, win, &d2); !reflect.DeepEqual(d, d2) {
 			t.Fatalf("%s: decode not deterministic for % x", a.Name(), win)
+		}
+		dirty := dirtyDecoded()
+		for _, r := range []*Decoded{&dirty, &reused} {
+			a.Decode(pc, win, r)
+			if r.Size != d.Size || !reflect.DeepEqual(r.Uops(), d.Uops()) {
+				t.Fatalf("%s: decode into reused storage gave size %d %+v, want size %d %+v for % x",
+					a.Name(), r.Size, r.Uops(), d.Size, d.Uops(), win)
+			}
 		}
 		off += d.Size
 	}
+}
+
+// dirtyDecoded returns a Decoded whose every slot holds a distinct
+// garbage micro-op and whose N claims them all.
+func dirtyDecoded() Decoded {
+	d := Decoded{N: MaxUops, Size: 99}
+	for i := range d.Ops {
+		g := uint8(0xA0 + i)
+		d.Ops[i] = MicroOp{
+			Kind: KindStore, Alu: AluSelect, Cond: CondFGTU, Pred: CondFLTS,
+			Dst: Reg(g), Src1: Reg(g + 1), Src2: Reg(g + 2), Src3: Reg(g + 3), SrcP: Reg(g + 4),
+			Imm: -int64(g), Scale: g, MemBytes: g, MemSigned: true,
+			PC: ^uint64(g), NextPC: ^uint64(0), Target: uint64(g) << 40,
+			Last: i%2 == 0,
+		}
+	}
+	return d
 }
 
 // checkEncodeRoundTrip derives a register-ALU instruction from the fuzz
@@ -84,11 +118,11 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 	// canonical discard form.
 	if w, ok := RvALU(op, Reg(data[1]%31+1), Reg(data[2]%32), Reg(data[3]%32)); ok {
 		b := []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
-		d := RV64L{}.Decode(0x1000, b)
-		if len(d.Uops) != 1 {
-			t.Fatalf("riscv: ALU word %08x cracked into %d uops", w, len(d.Uops))
+		d := decodeAt(RV64L{}, 0x1000, b)
+		if d.N != 1 {
+			t.Fatalf("riscv: ALU word %08x cracked into %d uops", w, d.N)
 		}
-		u := d.Uops[0]
+		u := d.Uops()[0]
 		w2, ok2 := RvALU(u.Alu, u.Dst, u.Src1, u.Src2)
 		if !ok2 || w2 != w {
 			t.Fatalf("riscv: %08x decoded to alu=%d rd=%d rs1=%d rs2=%d, re-encodes to %08x (ok=%v)",
@@ -99,7 +133,7 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 	// ARM64L: 4-bit register fields.
 	if w, ok := ArmALUReg(op, Reg(data[1]%16), Reg(data[2]%16), Reg(data[3]%16), 0); ok {
 		b := []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
-		d := ARM64L{}.Decode(0x1000, b)
+		d := decodeAt(ARM64L{}, 0x1000, b)
 		u, n := soleALU(d, op)
 		if n == 0 {
 			t.Fatalf("arm: ALU word %08x decoded without a matching ALU uop", w)
@@ -117,7 +151,7 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 
 	// X86L: REX-extended 4-bit fields; dst is both source and destination.
 	if enc, ok := X86ALUrr(op, Reg(data[1]%16), Reg(data[2]%16)); ok {
-		d := X86L{}.Decode(0x1000, padTo(enc, X86L{}.MaxInstLen()))
+		d := decodeAt(X86L{}, 0x1000, padTo(enc, X86L{}.MaxInstLen()))
 		if d.Size != len(enc) {
 			t.Fatalf("x86: ALU encoding % x decoded with size %d", enc, d.Size)
 		}
@@ -139,7 +173,7 @@ func checkEncodeRoundTrip(t *testing.T, data []byte) {
 func soleALU(d Decoded, op AluOp) (MicroOp, int) {
 	var out MicroOp
 	n := 0
-	for _, u := range d.Uops {
+	for _, u := range d.Uops() {
 		if u.Kind == KindALU || u.Kind == KindMul || u.Kind == KindDiv {
 			if u.Alu == op {
 				out = u

@@ -199,10 +199,29 @@ func (u *MicroOp) IsCtrl() bool {
 	return u.Kind == KindBranch || u.Kind == KindJump || u.Kind == KindJumpReg
 }
 
-// Decoded is the result of decoding one instruction's bytes.
+// MaxUops is the most micro-ops one instruction cracks into: X86L's
+// divide (quotient, remainder and the two result moves).
+const MaxUops = 4
+
+// Decoded is the result of decoding one instruction's bytes. The
+// micro-ops live inline, so a caller that decodes every instruction into
+// the same Decoded allocates nothing.
 type Decoded struct {
-	Uops []MicroOp
+	Ops  [MaxUops]MicroOp
+	N    int // micro-ops in use: Ops[:N]
 	Size int // encoded length in bytes
+}
+
+// Uops returns the decoded micro-ops. The slice aliases d, so the next
+// Decode into d overwrites it.
+func (d *Decoded) Uops() []MicroOp { return d.Ops[:d.N] }
+
+// setIllegal makes d the single KindIllegal micro-op of a size-byte
+// encoding.
+func (d *Decoded) setIllegal(pc uint64, size int) {
+	u := NewUop(pc, pc+uint64(size))
+	u.Kind, u.Last = KindIllegal, true
+	d.Ops[0], d.N, d.Size = u, 1, size
 }
 
 // Traits captures the ISA-dependent behaviours that matter for fault
@@ -230,10 +249,13 @@ type Arch interface {
 	// at least this many bytes to Decode.
 	MaxInstLen() int
 	// Decode decodes the instruction starting at the beginning of b, whose
-	// virtual address is pc. It never fails: undecodable bytes yield a
-	// single KindIllegal micro-op so the fault is raised architecturally
-	// at commit, matching hardware behaviour.
-	Decode(pc uint64, b []byte) Decoded
+	// virtual address is pc, into d, which the caller owns and may reuse
+	// for every instruction. It sets d.N (1 <= d.N <= MaxUops), d.Size
+	// and d.Ops[:d.N]; the result never depends on what d held before.
+	// It never fails: undecodable bytes yield a single KindIllegal
+	// micro-op so the fault is raised architecturally at commit, matching
+	// hardware behaviour.
+	Decode(pc uint64, b []byte, d *Decoded)
 	// Traits reports ISA-dependent exception behaviour.
 	Traits() Traits
 }

@@ -169,16 +169,23 @@ func TestByName(t *testing.T) {
 
 // --- RV64L ---
 
+// decodeAt decodes one instruction into fresh storage.
+func decodeAt(a Arch, pc uint64, b []byte) Decoded {
+	var d Decoded
+	a.Decode(pc, b, &d)
+	return d
+}
+
 func decode1(t *testing.T, a Arch, b []byte) MicroOp {
 	t.Helper()
-	d := a.Decode(0x1000, b)
-	if len(d.Uops) != 1 {
-		t.Fatalf("want 1 uop, got %d", len(d.Uops))
+	d := decodeAt(a, 0x1000, b)
+	if len(d.Uops()) != 1 {
+		t.Fatalf("want 1 uop, got %d", len(d.Uops()))
 	}
-	if !d.Uops[0].Last {
+	if !d.Uops()[0].Last {
 		t.Fatal("single uop must be Last")
 	}
-	return d.Uops[0]
+	return d.Uops()[0]
 }
 
 func TestRVALURoundTrip(t *testing.T) {
@@ -382,7 +389,8 @@ func TestRVRoundTripQuick(t *testing.T) {
 		if !ok {
 			return false
 		}
-		u := RV64L{}.Decode(0, le(w)).Uops[0]
+		dec := decodeAt(RV64L{}, 0, le(w))
+		u := dec.Uops()[0]
 		return u.Alu == op && u.Dst == d && u.Src1 == s1 && u.Src2 == s2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -428,15 +436,15 @@ func TestArmMovW(t *testing.T) {
 		t.Errorf("movz: %+v", u)
 	}
 	w, _ = ArmMovW(true, 6, 0, 0x1234)
-	d := ARM64L{}.Decode(0x1000, le(w))
-	if len(d.Uops) != 2 {
-		t.Fatalf("movk should crack to 2 uops, got %d", len(d.Uops))
+	d := decodeAt(ARM64L{}, 0x1000, le(w))
+	if len(d.Uops()) != 2 {
+		t.Fatalf("movk should crack to 2 uops, got %d", len(d.Uops()))
 	}
-	if d.Uops[0].Alu != AluAnd || d.Uops[0].Dst != ArmTmp1 || d.Uops[0].Last {
-		t.Errorf("movk clear uop: %+v", d.Uops[0])
+	if d.Uops()[0].Alu != AluAnd || d.Uops()[0].Dst != ArmTmp1 || d.Uops()[0].Last {
+		t.Errorf("movk clear uop: %+v", d.Uops()[0])
 	}
-	if d.Uops[1].Alu != AluOr || d.Uops[1].Imm != 0x1234 || !d.Uops[1].Last {
-		t.Errorf("movk or uop: %+v", d.Uops[1])
+	if d.Uops()[1].Alu != AluOr || d.Uops()[1].Imm != 0x1234 || !d.Uops()[1].Last {
+		t.Errorf("movk or uop: %+v", d.Uops()[1])
 	}
 }
 
@@ -545,11 +553,6 @@ func TestArmSys(t *testing.T) {
 
 // --- X86L ---
 
-func decodeAll(t *testing.T, a Arch, b []byte) Decoded {
-	t.Helper()
-	return a.Decode(0x1000, b)
-}
-
 func TestX86MovImmRoundTrip(t *testing.T) {
 	b := X86MovImm64(13, 0xDEADBEEFCAFEF00D)
 	u := decode1(t, X86L{}, b)
@@ -600,11 +603,11 @@ func TestX86ALUMemFoldsToLoadPlusOp(t *testing.T) {
 	if !ok {
 		t.Fatal("alu rm failed")
 	}
-	d := decodeAll(t, X86L{}, b)
-	if len(d.Uops) != 2 {
-		t.Fatalf("alu rm should crack to 2 uops, got %d", len(d.Uops))
+	d := decodeAt(X86L{}, 0x1000, b)
+	if len(d.Uops()) != 2 {
+		t.Fatalf("alu rm should crack to 2 uops, got %d", len(d.Uops()))
 	}
-	ld, ex := d.Uops[0], d.Uops[1]
+	ld, ex := d.Uops()[0], d.Uops()[1]
 	if ld.Kind != KindLoad || ld.Dst != X86T0 || ld.Src1 != 6 || ld.Imm != 0x40 || ld.MemBytes != 8 {
 		t.Errorf("load uop: %+v", ld)
 	}
@@ -645,17 +648,17 @@ func TestX86LoadStoreWidths(t *testing.T) {
 }
 
 func TestX86DivCrack(t *testing.T) {
-	d := decodeAll(t, X86L{}, X86Div(false, 3))
-	if len(d.Uops) != 4 {
-		t.Fatalf("div should crack to 4 uops, got %d", len(d.Uops))
+	d := decodeAt(X86L{}, 0x1000, X86Div(false, 3))
+	if len(d.Uops()) != 4 {
+		t.Fatalf("div should crack to 4 uops, got %d", len(d.Uops()))
 	}
-	if d.Uops[0].Alu != AluDivU || d.Uops[0].Src1 != X86RAX || d.Uops[0].Src2 != 3 {
-		t.Errorf("div quotient uop: %+v", d.Uops[0])
+	if d.Uops()[0].Alu != AluDivU || d.Uops()[0].Src1 != X86RAX || d.Uops()[0].Src2 != 3 {
+		t.Errorf("div quotient uop: %+v", d.Uops()[0])
 	}
-	if d.Uops[1].Alu != AluRemU {
-		t.Errorf("div remainder uop: %+v", d.Uops[1])
+	if d.Uops()[1].Alu != AluRemU {
+		t.Errorf("div remainder uop: %+v", d.Uops()[1])
 	}
-	if d.Uops[2].Dst != X86RAX || d.Uops[3].Dst != X86RDX {
+	if d.Uops()[2].Dst != X86RAX || d.Uops()[3].Dst != X86RDX {
 		t.Error("div results must land in RAX/RDX")
 	}
 }
@@ -717,9 +720,9 @@ func TestX86Misc(t *testing.T) {
 }
 
 func TestX86IllegalConsumesOneByte(t *testing.T) {
-	d := decodeAll(t, X86L{}, []byte{0xDD, 0x90, 0x90})
-	if d.Uops[0].Kind != KindIllegal || d.Size != 1 {
-		t.Errorf("illegal: %+v size %d", d.Uops[0], d.Size)
+	d := decodeAt(X86L{}, 0x1000, []byte{0xDD, 0x90, 0x90})
+	if d.Uops()[0].Kind != KindIllegal || d.Size != 1 {
+		t.Errorf("illegal: %+v size %d", d.Uops()[0], d.Size)
 	}
 }
 
@@ -730,13 +733,13 @@ func TestX86VariableLengthDesync(t *testing.T) {
 	// injector relies on.
 	x := X86L{}
 	code := append(X86MovImm64(1, 0x42), X86Nop()...)
-	d0 := x.Decode(0, code)
+	d0 := decodeAt(x, 0, code)
 	if d0.Size != 10 {
 		t.Fatalf("mov imm64 size %d", d0.Size)
 	}
 	// Corrupt byte 1 (the 0xB8+r opcode) to an illegal byte.
 	code[1] = 0xDD
-	d1 := x.Decode(0, code)
+	d1 := decodeAt(x, 0, code)
 	if d1.Size == 10 {
 		t.Error("corrupted opcode should change the decode span")
 	}
@@ -751,11 +754,11 @@ func TestX86RoundTripQuick(t *testing.T) {
 		if !ok {
 			return false
 		}
-		dec := X86L{}.Decode(0, b)
-		if len(dec.Uops) != 2 || dec.Size != len(b) {
+		dec := decodeAt(X86L{}, 0, b)
+		if len(dec.Uops()) != 2 || dec.Size != len(b) {
 			return false
 		}
-		ld, ex := dec.Uops[0], dec.Uops[1]
+		ld, ex := dec.Uops()[0], dec.Uops()[1]
 		return ld.Kind == KindLoad && ld.Src1 == s && ld.Imm == int64(disp) &&
 			ex.Alu == op && ex.Dst == d
 	}
@@ -773,14 +776,14 @@ func TestDecodedSizesCoverStream(t *testing.T) {
 	for _, a := range All() {
 		pos := 0
 		for pos < len(buf)-a.MaxInstLen() {
-			d := a.Decode(uint64(pos), buf[pos:pos+a.MaxInstLen()])
+			d := decodeAt(a, uint64(pos), buf[pos:pos+a.MaxInstLen()])
 			if d.Size <= 0 || d.Size > a.MaxInstLen() {
 				t.Fatalf("%s: bad size %d at %d", a.Name(), d.Size, pos)
 			}
-			if len(d.Uops) == 0 {
+			if len(d.Uops()) == 0 {
 				t.Fatalf("%s: no uops at %d", a.Name(), pos)
 			}
-			if !d.Uops[len(d.Uops)-1].Last {
+			if !d.Uops()[len(d.Uops())-1].Last {
 				t.Fatalf("%s: last uop not marked at %d", a.Name(), pos)
 			}
 			pos += d.Size

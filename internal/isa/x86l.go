@@ -338,26 +338,31 @@ func X86Magic(sel byte) []byte { return []byte{0x0F, 0x04, sel} }
 // Decode implements Arch. It consumes exactly one instruction from the
 // start of b; undecodable bytes consume a single byte, which is what makes
 // X86L decode desynchronization possible under instruction-cache faults.
-func (a X86L) Decode(pc uint64, b []byte) Decoded {
-	d := &x86Dec{pc: pc, b: b}
-	return d.decode()
+func (X86L) Decode(pc uint64, b []byte, out *Decoded) {
+	d := &x86Dec{pc: pc, b: b, out: out}
+	if !d.decode() {
+		d.illegal()
+	}
 }
 
+// x86Dec is the decoder state for one instruction. Its decode methods
+// write the micro-ops into out and report false for an illegal encoding.
 type x86Dec struct {
 	pc  uint64
 	b   []byte
 	i   int
 	rex byte
+	out *Decoded
 }
 
-func (d *x86Dec) illegal() Decoded {
+// illegal makes out a KindIllegal micro-op covering the bytes consumed so
+// far, at least one.
+func (d *x86Dec) illegal() {
 	size := d.i
 	if size == 0 {
 		size = 1
 	}
-	u := NewUop(d.pc, d.pc+uint64(size))
-	u.Kind, u.Last = KindIllegal, true
-	return Decoded{Uops: []MicroOp{u}, Size: size}
+	d.out.setIllegal(d.pc, size)
 }
 
 func (d *x86Dec) byteAt() (byte, bool) {
@@ -416,26 +421,29 @@ func (d *x86Dec) imm32() (int64, bool) {
 
 func (d *x86Dec) newUop() MicroOp { return NewUop(d.pc, 0) }
 
-// finish stamps NextPC on every uop and marks the last one.
-func (d *x86Dec) finish(uops ...MicroOp) Decoded {
+// finish stores uops in out, stamping NextPC on every one and marking the
+// last one.
+func (d *x86Dec) finish(uops ...MicroOp) bool {
 	next := d.pc + uint64(d.i)
-	for i := range uops {
-		uops[i].NextPC = next
-		uops[i].Last = i == len(uops)-1
+	o := d.out
+	o.N, o.Size = copy(o.Ops[:], uops), d.i
+	for i := range o.N {
+		o.Ops[i].NextPC = next
+		o.Ops[i].Last = i == o.N-1
 	}
-	return Decoded{Uops: uops, Size: d.i}
+	return true
 }
 
-func (d *x86Dec) decode() Decoded {
+func (d *x86Dec) decode() bool {
 	op, ok := d.byteAt()
 	if !ok {
-		return d.illegal()
+		return false
 	}
 	if op&0xF0 == 0x40 { // REX prefix
 		d.rex = op
 		op, ok = d.byteAt()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 	}
 
@@ -451,7 +459,7 @@ func (d *x86Dec) decode() Decoded {
 	case op == 0xE9:
 		rel, ok := d.imm32()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		u.Kind = KindJump
@@ -460,7 +468,7 @@ func (d *x86Dec) decode() Decoded {
 	case op == 0xFF: // group: /4 = jmp r/m
 		_, rm, isMem, disp, ok := d.modRM()
 		if !ok || isMem {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		u.Kind, u.Src1, u.Imm = KindJumpReg, rm, disp
@@ -473,7 +481,7 @@ func (d *x86Dec) decode() Decoded {
 			rd |= 8
 		}
 		if d.i+8 > len(d.b) {
-			return d.illegal()
+			return false
 		}
 		var v uint64
 		for k := 0; k < 8; k++ {
@@ -486,11 +494,11 @@ func (d *x86Dec) decode() Decoded {
 	case op == 0xC7: // mov r/m, imm32
 		digit, rm, isMem, disp, ok := d.modRM()
 		if !ok || digit&7 != 0 {
-			return d.illegal()
+			return false
 		}
 		imm, ok := d.imm32()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		if isMem {
@@ -504,21 +512,21 @@ func (d *x86Dec) decode() Decoded {
 	case op == 0x81: // ALU r/m, imm32
 		digit, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		alu, ok := x86DigitALU(byte(digit & 7))
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		imm, ok := d.imm32()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		return d.aluImmForm(alu, rm, isMem, disp, imm)
 	case op == 0xC1: // shift r/m, imm8
 		digit, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		var alu AluOp
 		switch digit & 7 {
@@ -529,18 +537,18 @@ func (d *x86Dec) decode() Decoded {
 		case 7:
 			alu = AluShrA
 		default:
-			return d.illegal()
+			return false
 		}
 		sh, ok := d.byteAt()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		return d.aluImmForm(alu, rm, isMem, disp, int64(sh&63))
 	case op == 0xF7: // group: /6 div, /7 idiv
 		digit, rm, isMem, disp, ok := d.modRM()
 		if !ok || isMem {
 			_ = disp
-			return d.illegal()
+			return false
 		}
 		var qOp, rOp AluOp
 		switch digit & 7 {
@@ -549,7 +557,7 @@ func (d *x86Dec) decode() Decoded {
 		case 7:
 			qOp, rOp = AluDiv, AluRem
 		default:
-			return d.illegal()
+			return false
 		}
 		// Crack: T0 = RAX/src ; T1 = RAX%src ; RAX = T0 ; RDX = T1.
 		q := d.newUop()
@@ -575,7 +583,7 @@ func (d *x86Dec) decode() Decoded {
 		}
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		if isMem {
@@ -587,7 +595,7 @@ func (d *x86Dec) decode() Decoded {
 	case op == 0x8B || op == 0x8C || op == 0x63: // loads (64/32u/32s) or mov rr
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		if isMem {
@@ -608,24 +616,24 @@ func (d *x86Dec) decode() Decoded {
 		if alu, ok := x86RegFormALU(op); ok {
 			reg, rm, isMem, disp, ok := d.modRM()
 			if !ok {
-				return d.illegal()
+				return false
 			}
 			return d.aluRegForm(alu, reg, rm, isMem, disp)
 		}
-		return d.illegal()
+		return false
 	}
 }
 
-func (d *x86Dec) decode0F() Decoded {
+func (d *x86Dec) decode0F() bool {
 	op2, ok := d.byteAt()
 	if !ok {
-		return d.illegal()
+		return false
 	}
 	switch {
 	case op2 == 0x04: // simulator magic
 		sel, ok := d.byteAt()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		switch sel {
@@ -636,13 +644,13 @@ func (d *x86Dec) decode0F() Decoded {
 		case 3:
 			u.Kind = KindWFI
 		default:
-			return d.illegal()
+			return false
 		}
 		return d.finish(u)
 	case op2 == 0xA0 || op2 == 0xA1 || op2 == 0xA2: // variable shifts
 		reg, rm, isMem, _, ok := d.modRM()
 		if !ok || isMem {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		u.Kind, u.Dst, u.Src1, u.Src2 = KindALU, reg, reg, rm
@@ -658,7 +666,7 @@ func (d *x86Dec) decode0F() Decoded {
 	case op2 == 0xAF || op2 == 0xA5: // imul / mulhu
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		alu := AluMul
 		if op2 == 0xA5 {
@@ -678,7 +686,7 @@ func (d *x86Dec) decode0F() Decoded {
 		c := x86CC[op2&0xF]
 		rel, ok := d.imm32()
 		if !ok {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		target := d.pc + uint64(d.i) + uint64(rel)
@@ -695,24 +703,22 @@ func (d *x86Dec) decode0F() Decoded {
 		c := x86CC[op2&0xF]
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok {
-			return d.illegal()
-		}
-		src := rm
-		var pre []MicroOp
-		if isMem {
-			ld := d.newUop()
-			ld.Kind, ld.Dst, ld.Src1, ld.Imm, ld.MemBytes = KindLoad, X86T0, rm, disp, 8
-			pre = append(pre, ld)
-			src = X86T0
+			return false
 		}
 		u := d.newUop()
 		u.Kind, u.Alu, u.Cond = KindALU, AluSelect, c
-		u.Dst, u.Src1, u.Src2, u.Src3 = reg, src, reg, X86Flags
-		return d.finish(append(pre, u)...)
+		u.Dst, u.Src1, u.Src2, u.Src3 = reg, rm, reg, X86Flags
+		if isMem {
+			ld := d.newUop()
+			ld.Kind, ld.Dst, ld.Src1, ld.Imm, ld.MemBytes = KindLoad, X86T0, rm, disp, 8
+			u.Src1 = X86T0
+			return d.finish(ld, u)
+		}
+		return d.finish(u)
 	case op2 == 0xB6 || op2 == 0xB7 || op2 == 0xBE || op2 == 0xBF: // narrow loads
 		reg, rm, isMem, disp, ok := d.modRM()
 		if !ok || !isMem {
-			return d.illegal()
+			return false
 		}
 		u := d.newUop()
 		u.Kind, u.Dst, u.Src1, u.Imm = KindLoad, reg, rm, disp
@@ -728,7 +734,7 @@ func (d *x86Dec) decode0F() Decoded {
 		}
 		return d.finish(u)
 	}
-	return d.illegal()
+	return false
 }
 
 // x86RegFormALU recognizes the 0x01/0x03-family ALU opcodes. Store-form
@@ -775,7 +781,7 @@ func x86DigitALU(digit byte) (AluOp, bool) {
 // aluRegForm builds the micro-ops for a 2-operand ALU instruction whose
 // second operand may be memory. op is the original opcode byte's ALU op;
 // the caller already parsed modrm.
-func (d *x86Dec) aluRegForm(alu AluOp, reg, rm Reg, isMem bool, disp int64) Decoded {
+func (d *x86Dec) aluRegForm(alu AluOp, reg, rm Reg, isMem bool, disp int64) bool {
 	dstInRM := x86IsStoreForm(d.opByte())
 	flags := alu == AluFlags
 
@@ -830,7 +836,7 @@ func (d *x86Dec) opByte() byte {
 }
 
 // aluImmForm builds micro-ops for ALU r/m, imm.
-func (d *x86Dec) aluImmForm(alu AluOp, rm Reg, isMem bool, disp int64, imm int64) Decoded {
+func (d *x86Dec) aluImmForm(alu AluOp, rm Reg, isMem bool, disp int64, imm int64) bool {
 	flags := alu == AluFlags
 	if !isMem {
 		u := d.newUop()

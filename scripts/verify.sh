@@ -17,7 +17,8 @@
 #   4. observability guard: tracing and profiling must be zero-alloc on
 #      the golden path and must not perturb verdict streams; the sweep's
 #      Chrome-trace timeline export must satisfy the format's schema
-#      invariants
+#      invariants; the cycle kernel's Step must be zero-alloc once warm,
+#      and the CPU and SoC packages race-free
 #   5. bench guard: the forking ablations and tracing-overhead benches
 #      compile and run, the checkpoint ladder demonstrably cuts
 #      pre-injection replay at least 2x on a long-window workload, and
@@ -151,6 +152,16 @@ for t in TestTracerZeroAlloc TestProfilerZeroAlloc; do
 		exit 1
 	}
 done
+
+echo "== cycle-kernel guard: zero-alloc Step + front-end storage races =="
+# A warm System.Step must allocate nothing on every ISA, fresh and after
+# a fork's Reset; the per-core decode, fetch and LSQ staging storage it
+# reuses must never be shared between a golden core and its forks.
+go test -run '^TestStepZeroAlloc$' -v ./internal/soc | grep -q -- '--- PASS: TestStepZeroAlloc' || {
+	echo "verify: zero-alloc cycle-kernel guard: TestStepZeroAlloc did not run/pass" >&2
+	exit 1
+}
+go test -race ./internal/cpu ./internal/soc
 
 # Guard: the profiling-vs-bare differentials must exist and pass on all
 # three layers (CPU engine, accelerator engine, sweep orchestrator) —
