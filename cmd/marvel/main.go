@@ -134,7 +134,6 @@ func cmdCampaign(args []string) error {
 	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles bounding faulty runs (0 = default 3)")
 	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
 	workers := fs.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS); results are worker-count invariant")
-	legacyClone := fs.Bool("legacyclone", false, "deep-clone the checkpoint per run instead of CoW forking (A/B baseline)")
 	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs inside the injection window (0 = single checkpoint); results are bit-identical for every value")
 	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget); results are a bit-identical prefix of the fixed run")
 	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
@@ -159,7 +158,6 @@ func cmdCampaign(args []string) error {
 		PhysRegs:         *physRegs,
 		Preset:           *preset,
 		Workers:          *workers,
-		LegacyClone:      *legacyClone,
 		LadderRungs:      *ladder,
 		TargetMargin:     *margin,
 		Confidence:       *confidence,
@@ -207,12 +205,8 @@ func cmdCampaign(args []string) error {
 	if rep.HVFMeasured {
 		fmt.Printf("HVF=%.4f\n", rep.HVF)
 	}
-	strategy := "cow-fork"
-	if rep.LegacyClone {
-		strategy = "legacy-clone"
-	}
-	fmt.Printf("forking: %s, %d forks, %d reuses, %d pages copied, %d cache sets restored\n",
-		strategy, rep.Forks, rep.ForkReuses, rep.PagesCopied, rep.SetsRestored)
+	fmt.Printf("forking: %d forks, %d reuses, %d pages copied, %d cache sets restored\n",
+		rep.Forks, rep.ForkReuses, rep.PagesCopied, rep.SetsRestored)
 	if rep.Rungs > 0 {
 		fmt.Printf("ladder: %d rungs, %d rung hits, %d cycles replayed pre-injection\n",
 			rep.Rungs, rep.RungHits, rep.ReplayedCycles)
@@ -605,7 +599,6 @@ func cmdAccel(args []string) error {
 	seed := fs.Int64("seed", 1, "seed")
 	mults := fs.Int("gemm-multipliers", 0, "gemm datapath multipliers (DSE)")
 	workers := fs.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS); results are worker-count invariant")
-	legacyRebuild := fs.Bool("legacyrebuild", false, "rebuild the harness per fault instead of fork/reset reuse (A/B baseline)")
 	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs inside the injection window (0 = single checkpoint); results are bit-identical for every value")
 	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget); results are a bit-identical prefix of the fixed run")
 	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
@@ -622,7 +615,6 @@ func cmdAccel(args []string) error {
 		Seed:            *seed,
 		GemmMultipliers: *mults,
 		Workers:         *workers,
-		LegacyRebuild:   *legacyRebuild,
 		LadderRungs:     *ladder,
 		TargetMargin:    *margin,
 		Confidence:      *confidence,
@@ -667,12 +659,8 @@ func cmdAccel(args []string) error {
 	}
 	fmt.Printf("masked=%d sdc=%d crash=%d\n", rep.Masked, rep.SDC, rep.Crash)
 	fmt.Printf("AVF=%.4f (SDC %.4f + Crash %.4f)\n", rep.AVF, rep.SDCAVF, rep.CrashAVF)
-	strategy := "fork-reset"
-	if rep.LegacyRebuild {
-		strategy = "legacy-rebuild"
-	}
-	fmt.Printf("forking: %s, %d forks, %d reuses, %d pages copied\n",
-		strategy, rep.Forks, rep.ForkReuses, rep.PagesCopied)
+	fmt.Printf("forking: %d forks, %d reuses, %d pages copied\n",
+		rep.Forks, rep.ForkReuses, rep.PagesCopied)
 	if rep.Rungs > 0 {
 		fmt.Printf("ladder: %d rungs, %d rung hits, %d cycles replayed pre-injection\n",
 			rep.Rungs, rep.RungHits, rep.ReplayedCycles)

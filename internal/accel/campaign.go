@@ -3,15 +3,11 @@ package accel
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sort"
-	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"marvel/internal/classify"
 	"marvel/internal/core"
-	"marvel/internal/metrics"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 )
 
@@ -24,21 +20,12 @@ type CampaignConfig struct {
 	Model  core.Model
 	Faults int
 	Seed   int64
-	// TargetMargin > 0 selects adaptive confidence-targeted sizing, exactly
-	// as in campaign.Config: faults are dispatched in batches from the
-	// prefix-stable per-index derivation, the Wilson half-width of the AVF
-	// estimate is recomputed after each completed batch, and the campaign
-	// stops once it drops to TargetMargin — leaving a record stream that is
-	// an exact prefix of the fixed-budget run's. 0 keeps the fixed budget.
-	TargetMargin float64
-	// Confidence is the normal quantile z for margins (adaptive stop and
-	// the reported Margin); <= 0 keeps the default 1.96 (95%).
-	Confidence float64
-	// MinFaults floors the adaptive sample; MaxFaults caps it (0 = Faults).
-	MinFaults int
-	MaxFaults int
-	// BatchSize is the adaptive dispatch granularity; <= 0 picks 32.
-	BatchSize int
+	// TargetMargin, Confidence, MinFaults, MaxFaults and BatchSize select
+	// adaptive confidence-targeted sizing exactly as in campaign.Config:
+	// an early stop leaves an exact prefix of the fixed-budget record
+	// stream.
+	TargetMargin, Confidence        float64
+	MinFaults, MaxFaults, BatchSize int
 	// WatchdogFactor bounds faulty tasks at factor × golden cycles.
 	WatchdogFactor float64
 	// WindowOverride, when non-zero, draws injection cycles from
@@ -52,12 +39,6 @@ type CampaignConfig struct {
 	// bit-identical for every worker count: each mask's coordinates derive
 	// purely from (Seed, mask index), never from the execution schedule.
 	Workers int
-	// LegacyRebuild forces the pre-fork strategy: a full harness rebuild
-	// (NewStandalone) per fault. The default (false) forks one
-	// copy-on-write harness per worker and rolls it back between masks,
-	// which is equivalent bit for bit and much cheaper per fault. Kept for
-	// A/B comparison.
-	LegacyRebuild bool
 	// LadderRungs selects the checkpoint ladder: besides the pristine
 	// not-yet-started harness, the fault-free task is snapshotted mid-run
 	// at LadderRungs evenly spaced cycles inside the injection window, and
@@ -66,26 +47,13 @@ type CampaignConfig struct {
 	// single pristine checkpoint. Verdicts are bit-identical for every
 	// value (flips apply inside Tick, so rungs stop strictly before the
 	// injection cycle); permanent faults always use the pristine base —
-	// stuck-at bits must corrupt DMA-in too — and LegacyRebuild, which
-	// rebuilds from scratch, ignores the ladder.
+	// stuck-at bits must corrupt DMA-in too.
 	LadderRungs int
-	// OnVerdict, when non-nil, observes every classified fault as it
-	// completes (sweep progress reporting). It may be called concurrently
-	// from several workers; the index is the fault index. It must not
-	// block.
+	// OnVerdict, Trace and Profile observe the campaign as in
+	// campaign.Config; none of them changes a verdict.
 	OnVerdict func(index int, v classify.Verdict)
-	// Trace, when non-nil, receives fault-lifecycle events from every
-	// faulty run. With Workers > 1 the sink must be safe for concurrent
-	// Emit calls and events from different runs interleave; single-run
-	// narration (Explain) uses Workers = 1. Tracing does not change
-	// verdicts — emission sites only observe.
-	Trace obs.Tracer
-	// Profile, when non-nil, attributes wall-clock time to campaign
-	// phases (golden/ladder prep, fork, reset, residual replay, faulty
-	// execution, classify) on per-worker timeline lanes. Profiling only
-	// observes — the tick sequence and verdicts are bit-identical with
-	// it on or off.
-	Profile *obs.Profiler
+	Trace     obs.Tracer
+	Profile   *obs.Profiler
 }
 
 // CampaignGolden bundles the fault-free phase of an accelerator campaign:
@@ -189,58 +157,21 @@ type Record struct {
 	Verdict classify.Verdict
 }
 
-// ForkStats counts harness-forking activity over one accelerator campaign.
-// Workers fold their per-run counters in with atomic adds, so the struct
-// is race-free under any worker count; read it after the campaign returns.
-type ForkStats struct {
-	// Legacy reports that the campaign rebuilt a full harness per fault.
-	Legacy bool
-	// Forks is the number of harnesses created (one per worker in fork
-	// mode, one per faulty run in legacy mode).
-	Forks uint64
-	// ReuseHits counts faulty runs served by resetting an existing forked
-	// harness instead of building a new one.
-	ReuseHits uint64
-	// PagesCopied is the number of host-memory pages materialized by
-	// copy-on-write across all workers.
-	PagesCopied uint64
-	// Rungs is the number of mid-window checkpoint rungs the campaign had
-	// available beyond the pristine base (0 when the ladder was off).
-	Rungs int
-	// RungHits counts faulty runs dispatched from a mid-window rung
-	// instead of the pristine base.
-	RungHits uint64
-	// ReplayedCycles totals the pre-injection cycles each transient run
-	// had to replay between its fork point and its injection cycle; the
-	// ladder exists to shrink this.
-	ReplayedCycles uint64
-}
+// ForkStats counts harness-forking activity over one accelerator
+// campaign. The harness has no caches, so CacheSetsRestored stays 0.
+type ForkStats = dispatch.ForkStats
 
-// CampaignResult aggregates one accelerator campaign.
+// CampaignResult aggregates one accelerator campaign. Records holds the
+// per-fault verdicts in mask order, independent of the execution
+// schedule; the embedded Summary carries the counts, margins,
+// adaptive-sizing outcome and fork counters.
 type CampaignResult struct {
 	Target       string
 	GoldenCycles uint64
 	GoldenOutput []byte
 	TargetBits   uint64
-	// Records holds the per-fault verdicts in mask order, independent of
-	// the execution schedule.
-	Records []Record
-	Counts  metrics.Counts
-	// Margin is the sampling error over the component's bit population
-	// for the achieved sample size, at quantile Z.
-	Margin float64
-	// Z is the confidence quantile margins were computed at.
-	Z float64
-	// Requested is the planned fault budget; len(Records) may be smaller
-	// when adaptive sizing stopped early. FaultsSaved is the difference
-	// and Batches how many dispatch batches ran.
-	Requested   int
-	FaultsSaved int
-	Batches     int
-	// AchievedMargin is the Wilson half-width of the final AVF estimate.
-	AchievedMargin float64
-	// Forking describes how faulty runs were set up.
-	Forking ForkStats
+	Records      []Record
+	dispatch.Summary
 }
 
 // AVF returns the component's architectural vulnerability factor.
@@ -255,8 +186,8 @@ func (r *CampaignResult) AVF() float64 { return r.Counts.AVF() }
 // coordinates are derived per index via the shared splitmix64 scheme in
 // internal/core, masks fan out over a worker pool, and each worker forks
 // the pristine golden harness once, rolling it back between masks. Every
-// schedule — serial, one worker, N workers, rebuild-per-fault — produces
-// the same Records, Counts and AVF.
+// schedule — one worker, N workers, any ladder depth — produces the same
+// Records, Counts and AVF.
 func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
 	g, err := PrepareGolden(cfg.Design, cfg.Task)
@@ -273,246 +204,129 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // ones g was prepared with; results are bit-identical to RunCampaign with
 // the same CampaignConfig.
 func RunCampaignWithGolden(cfg CampaignConfig, g *CampaignGolden) (*CampaignResult, error) {
-	if cfg.Faults <= 0 {
-		return nil, fmt.Errorf("accel: fault count must be positive, got %d", cfg.Faults)
+	plan, err := dispatch.NewPlan(dispatch.Options{
+		Faults: cfg.Faults, Workers: cfg.Workers,
+		TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence,
+		MinFaults: cfg.MinFaults, MaxFaults: cfg.MaxFaults, BatchSize: cfg.BatchSize,
+		LadderRungs: cfg.LadderRungs, OnVerdict: cfg.OnVerdict, Profile: cfg.Profile,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("accel: %w", err)
 	}
-	if cfg.LadderRungs < 0 {
-		return nil, fmt.Errorf("accel: ladder rungs must be non-negative, got %d", cfg.LadderRungs)
-	}
-	if cfg.TargetMargin < 0 || cfg.TargetMargin >= 1 {
-		return nil, fmt.Errorf("accel: target margin must be in [0, 1), got %v", cfg.TargetMargin)
-	}
-	if cfg.Confidence < 0 {
-		return nil, fmt.Errorf("accel: confidence quantile must be non-negative, got %v", cfg.Confidence)
-	}
-	if cfg.MinFaults < 0 || cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("accel: min/max faults must be non-negative, got %d/%d", cfg.MinFaults, cfg.MaxFaults)
-	}
-	z := cfg.Confidence
-	if z <= 0 {
-		z = 1.96
-	}
-	adaptive := cfg.TargetMargin > 0
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	budget := cfg.Faults
-	if adaptive && cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
-	minFaults := cfg.MinFaults
-	if minFaults > budget {
-		minFaults = budget
-	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 4
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.Workers > budget {
-		cfg.Workers = budget
-	}
-
-	base, goldenOut, goldenCycles := g.base, g.Output, g.Cycles
-	gb, err := base.Cluster.Bank(cfg.Target)
+	e, err := newCampaignEngine(cfg, g)
 	if err != nil {
 		return nil, err
 	}
-	bankIdx := -1
-	for i, b := range base.Cluster.Banks() {
-		if b == gb {
-			bankIdx = i
-		}
-	}
-
-	window := goldenCycles
-	if cfg.WindowOverride > 0 {
-		window = cfg.WindowOverride
-	}
-	cycleBudget := uint64(float64(goldenCycles)*cfg.WatchdogFactor) + 5000
-
-	res := &CampaignResult{
-		Target:       cfg.Target,
-		GoldenCycles: goldenCycles,
-		GoldenOutput: goldenOut,
-		TargetBits:   gb.BitLen(),
-		Records:      make([]Record, budget),
-		Z:            z,
-		Requested:    budget,
-	}
-	res.Forking.Legacy = cfg.LegacyRebuild
-
 	// Derive the whole fault population up front: coordinates are a pure
 	// function of (Seed, index), so this costs a few splitmix64 draws per
 	// mask and lets the ladder sort dispatch order by injection cycle.
-	// [1, window+1) reproduces the historical "window w" population bit for
-	// bit (see core.DeriveFault).
-	faults := make([]core.Fault, budget)
-	for i := range faults {
-		faults[i] = core.DeriveFault(cfg.Seed, i, cfg.Target, cfg.Model, gb.BitLen(), 1, window+1)
+	e.faults = make([]core.Fault, plan.Budget)
+	for i := range e.faults {
+		e.faults[i] = e.fault(i)
 	}
-
 	// Checkpoint ladder: transient runs fork from the deepest rung strictly
 	// before their injection cycle (flips apply inside Tick, so a rung at
 	// exactly the injection cycle would skip the application tick).
 	// Permanent models keep the pristine base — stuck-ats must corrupt
-	// DMA-in — and legacy rebuilds cannot start from a snapshot.
-	rungs := []accelRung{{sys: base, cycle: 0}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() && !cfg.LegacyRebuild {
+	// DMA-in.
+	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
 		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs, window)
+		e.rungs = g.ladder(cfg.LadderRungs, e.window)
 		sp.End()
 	}
-	res.Forking.Rungs = len(rungs) - 1
-	rungOf := make([]int, budget)
-	if len(rungs) > 1 {
-		for i, f := range faults {
-			for ri := 1; ri < len(rungs) && rungs[ri].cycle < f.Cycle; ri++ {
-				rungOf[i] = ri
-			}
-		}
-	}
 
-	var statsMu sync.Mutex
-	var firstErr error
-	var failed atomic.Bool
-	var wg sync.WaitGroup      // worker lifetimes
-	var pending sync.WaitGroup // in-flight faults of the current batch
-	work := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var lane *obs.Lane
-			if cfg.Profile != nil {
-				lane = cfg.Profile.NewLane("worker-" + strconv.Itoa(w))
-			}
-			var scratch *Standalone
-			scratchRung := -1
-			var forks, reuses, rungHits, replayed uint64
-			var wErr error
-			process := func(i int) {
-				if wErr != nil {
-					return // drain the queue after a setup failure
-				}
-				r := rungOf[i]
-				var s *Standalone
-				if cfg.LegacyRebuild {
-					sp := lane.BeginID(obs.PhaseFork, int64(i))
-					s, wErr = NewStandalone(cfg.Design, cfg.Task)
-					sp.End()
-					if wErr != nil {
-						statsMu.Lock()
-						if firstErr == nil {
-							firstErr = wErr
-						}
-						statsMu.Unlock()
-						failed.Store(true)
-						return
-					}
-					forks++
-				} else if scratch == nil || scratchRung != r {
-					sp := lane.BeginID(obs.PhaseFork, int64(i))
-					if scratch != nil {
-						atomic.AddUint64(&res.Forking.PagesCopied, scratch.ForkPagesCopied())
-					}
-					scratch = rungs[r].sys.Fork()
-					scratchRung = r
-					s = scratch
-					sp.End()
-					forks++
-				} else {
-					sp := lane.BeginID(obs.PhaseReset, int64(i))
-					scratch.Reset()
-					s = scratch
-					sp.End()
-					reuses++
-				}
-				f := faults[i]
-				if r > 0 {
-					rungHits++
-				}
-				if !f.Model.Permanent() && f.Cycle > rungs[r].cycle {
-					replayed += f.Cycle - rungs[r].cycle
-				}
-				res.Records[i] = Record{Fault: f, Verdict: runFaulty(s, bankIdx, f, cycleBudget, goldenOut, cfg.Trace, lane, int64(i))}
-				if cfg.OnVerdict != nil {
-					cfg.OnVerdict(i, res.Records[i].Verdict)
-				}
-			}
-			for i := range work {
-				process(i)
-				pending.Done()
-			}
-			atomic.AddUint64(&res.Forking.Forks, forks)
-			atomic.AddUint64(&res.Forking.ReuseHits, reuses)
-			atomic.AddUint64(&res.Forking.RungHits, rungHits)
-			atomic.AddUint64(&res.Forking.ReplayedCycles, replayed)
-			if scratch != nil {
-				atomic.AddUint64(&res.Forking.PagesCopied, scratch.ForkPagesCopied())
-			}
-		}()
+	verdicts, sum, err := dispatch.Run(plan, e)
+	if err != nil {
+		return nil, err
 	}
-
-	// Batched dispatch, mirroring campaign.RunWithGolden: contiguous
-	// index ranges keep the executed set a stream prefix [0, done); rung
-	// sorting applies inside each batch only.
-	done := 0
-	for done < budget {
-		hi := budget
-		if adaptive && done+batchSize < hi {
-			hi = done + batchSize
-		}
-		batch := make([]int, hi-done)
-		for j := range batch {
-			batch[j] = done + j
-		}
-		if len(rungs) > 1 {
-			sort.SliceStable(batch, func(a, b int) bool { return rungOf[batch[a]] < rungOf[batch[b]] })
-		}
-		pending.Add(len(batch))
-		for _, i := range batch {
-			work <- i
-		}
-		pending.Wait()
-		done = hi
-		res.Batches++
-		if failed.Load() {
-			break
-		}
-		if adaptive && done >= minFaults && done < budget {
-			var c metrics.Counts
-			for _, r := range res.Records[:done] {
-				c.Add(r.Verdict)
-			}
-			if metrics.Confidence(c.AVF(), done, z).Half() <= cfg.TargetMargin {
-				break
-			}
-		}
+	res := &CampaignResult{
+		Target:       cfg.Target,
+		GoldenCycles: g.Cycles,
+		GoldenOutput: g.Output,
+		TargetBits:   e.bits,
+		Records:      make([]Record, len(verdicts)),
+		Summary:      sum,
 	}
-	close(work)
-	wg.Wait()
-	// Infrastructure failures abort the campaign instead of polluting the
-	// AVF as fake crashes.
-	if firstErr != nil {
-		return nil, fmt.Errorf("accel: faulty-run setup: %w", firstErr)
+	for i, v := range verdicts {
+		res.Records[i] = Record{Fault: e.faults[i], Verdict: v}
 	}
-
-	res.Records = res.Records[:done]
-	res.FaultsSaved = res.Requested - done
-	res.Margin = core.MarginFor(gb.BitLen(), done, z)
-	for _, r := range res.Records {
-		res.Counts.Add(r.Verdict)
-	}
-	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), done, z).Half()
+	res.Margin = core.MarginFor(e.bits, len(verdicts), plan.Z)
+	res.Forking.Rungs = len(e.rungs) - 1
 	return res, nil
 }
 
-// runFaulty drives one faulty task on s — a pristine harness (a fresh
-// rebuild, a fresh fork, or a reset fork; all three are state-identical) —
-// applies the fault, runs under the watchdog budget and classifies. When a
+// campaignEngine is the per-campaign setup the run and explain paths share —
+// target bank, injection window, watchdog budget, fault derivation — and
+// the campaign's adapter to the shared dispatcher.
+type campaignEngine struct {
+	cfg     CampaignConfig
+	g       *CampaignGolden
+	bankIdx int
+	bits    uint64
+	// window bounds the drawn injection cycles; budget is the watchdog's
+	// cycle bound on every faulty task.
+	window, budget uint64
+	faults         []core.Fault
+	rungs          []accelRung
+}
+
+func newCampaignEngine(cfg CampaignConfig, g *CampaignGolden) (*campaignEngine, error) {
+	gb, err := g.base.Cluster.Bank(cfg.Target)
+	if err != nil {
+		return nil, err
+	}
+	factor := cfg.WatchdogFactor
+	if factor <= 1 {
+		factor = 4
+	}
+	e := &campaignEngine{
+		cfg: cfg, g: g, bits: gb.BitLen(),
+		window: g.Cycles,
+		budget: uint64(float64(g.Cycles)*factor) + 5000,
+		rungs:  []accelRung{{sys: g.base, cycle: 0}},
+	}
+	for i, b := range g.base.Cluster.Banks() {
+		if b == gb {
+			e.bankIdx = i
+		}
+	}
+	if cfg.WindowOverride > 0 {
+		e.window = cfg.WindowOverride
+	}
+	return e, nil
+}
+
+// fault derives fault i of the campaign. [1, window+1) reproduces the
+// historical "window w" population bit for bit (see core.DeriveFault).
+func (e *campaignEngine) fault(i int) core.Fault {
+	return core.DeriveFault(e.cfg.Seed, i, e.cfg.Target, e.cfg.Model, e.bits, 1, e.window+1)
+}
+
+func (e *campaignEngine) Rung(i int) int {
+	r := 0
+	for ri := 1; ri < len(e.rungs) && e.rungs[ri].cycle < e.faults[i].Cycle; ri++ {
+		r = ri
+	}
+	return r
+}
+
+func (e *campaignEngine) Fork(r int) *Standalone { return e.rungs[r].sys.Fork() }
+
+func (e *campaignEngine) Replayed(i, r int) uint64 {
+	if f := e.faults[i]; !f.Model.Permanent() && f.Cycle > e.rungs[r].cycle {
+		return f.Cycle - e.rungs[r].cycle
+	}
+	return 0
+}
+
+func (e *campaignEngine) Run(s *Standalone, i, _ int, lane *obs.Lane) (classify.Verdict, error) {
+	return runFaulty(s, e.bankIdx, e.faults[i], e.budget, e.g.Output, e.cfg.Trace, lane, int64(i)), nil
+}
+
+// runFaulty drives one faulty task on s — a fresh or reset fork of any
+// ladder rung (the test-only reference passes a freshly built harness);
+// all sit on the golden path before the injection cycle — applies the
+// fault, runs under the watchdog budget and classifies. When a
 // tracer is armed the cluster reports flips and phase transitions and this
 // driver brackets the run with arming and verdict events; a nil tracer
 // costs one pointer store plus the cluster's per-site nil checks.

@@ -196,27 +196,26 @@ func TestStandaloneForkResetEquivalence(t *testing.T) {
 	if fk.Cluster.TaskCycles() != g.Cluster.TaskCycles() {
 		t.Fatalf("reset fork took %d cycles, golden %d", fk.Cluster.TaskCycles(), g.Cluster.TaskCycles())
 	}
-	if fk.ForkPagesCopied() == 0 {
+	if pages, _ := fk.ForkCounters(); pages == 0 {
 		t.Fatal("dirty runs should have materialized CoW pages")
 	}
 }
 
 // TestAccelCampaignWorkerInvariance: per-fault verdicts and counters must
-// not depend on the worker count or the forking strategy (small in-package
-// version of the machsuite-wide equivalence suite).
+// not depend on the worker count and must match the rebuild reference
+// (small in-package version of the machsuite-wide equivalence suite).
 func TestAccelCampaignWorkerInvariance(t *testing.T) {
 	d := testDesign(t, DefaultFUs())
 	task := testTask()
-	ref, err := RunCampaign(CampaignConfig{
+	ref, err := RebuildReference(CampaignConfig{
 		Design: d, Task: task, Target: "IN",
 		Model: core.Transient, Faults: 40, Seed: 12,
-		Workers: 1, LegacyRebuild: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.Forking.Forks != 40 || ref.Forking.ReuseHits != 0 || !ref.Forking.Legacy {
-		t.Fatalf("legacy forking stats wrong: %+v", ref.Forking)
+	if ref.Forking.Forks != 40 || ref.Forking.ReuseHits != 0 {
+		t.Fatalf("rebuild reference forking stats wrong: %+v", ref.Forking)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		got, err := RunCampaign(CampaignConfig{
@@ -243,6 +242,41 @@ func TestAccelCampaignWorkerInvariance(t *testing.T) {
 		}
 		if got.Forking.Forks+got.Forking.ReuseHits != 40 {
 			t.Fatalf("workers=%d: forks+reuses = %d, want 40", workers, got.Forking.Forks+got.Forking.ReuseHits)
+		}
+	}
+}
+
+// TestAccelInPlaceTaskMatchesRebuildReference: an in-place task writes its
+// output over its own input buffer in host memory, so a reused fork that
+// did not roll host memory back would read the previous run's output as
+// input. Every Table IV task keeps separate output buffers, which leaves
+// host-memory rollback unexercised by the machsuite-wide suite.
+func TestAccelInPlaceTaskMatchesRebuildReference(t *testing.T) {
+	d := testDesign(t, DefaultFUs())
+	d.Out = []Xfer{{Arg: 0, Local: 0x1000, Len: 128}}
+	task := testTask()
+	task.Bufs, task.OutArg = task.Bufs[:1], 0
+	cfg := CampaignConfig{
+		Design: d, Task: task, Target: "IN",
+		Model: core.Transient, Faults: 24, Seed: 12,
+	}
+	ref, err := RebuildReference(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		cfg.Workers = workers
+		got, err := RunCampaign(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.Records {
+			if got.Records[i] != ref.Records[i] {
+				t.Fatalf("workers=%d record %d: %+v vs %+v", workers, i, got.Records[i], ref.Records[i])
+			}
+		}
+		if got.Counts != ref.Counts || got.Forking.ReuseHits == 0 || got.Forking.PagesCopied == 0 {
+			t.Fatalf("workers=%d: counts %+v vs %+v, forking %+v", workers, got.Counts, ref.Counts, got.Forking)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 // Differential equivalence suite for the accelerator campaign engine: the
-// serial rebuild-per-fault baseline, the 1-worker fork/reset path and the
-// 8-worker fork/reset path must produce bit-identical per-fault verdict
-// sequences and AVF numbers for every Table IV design/component and both
-// fault-model families — the accelerator counterpart of the CPU side's
-// fork_equiv_test.
+// test-only serial rebuild-per-fault reference, the 1-worker fork/reset
+// path and the 8-worker fork/reset path must produce bit-identical
+// per-fault verdict sequences and AVF numbers for every Table IV
+// design/component and both fault-model families — the accelerator
+// counterpart of the CPU side's fork_equiv_test.
 package accel_test
 
 import (
@@ -15,20 +15,28 @@ import (
 	"marvel/internal/machsuite"
 )
 
-// variants are the execution schedules that must all agree.
+// variants are the dispatched worker counts that must agree with the
+// rebuild reference.
 var variants = []struct {
 	name    string
 	workers int
-	legacy  bool
 }{
-	{"serial-rebuild", 1, true},
-	{"fork-reset-1w", 1, false},
-	{"fork-reset-8w", 8, false},
+	{"fork-reset-1w", 1},
+	{"fork-reset-8w", 8},
 }
 
 func mustRun(t *testing.T, cfg accel.CampaignConfig) *accel.CampaignResult {
 	t.Helper()
 	res, err := accel.RunCampaign(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func mustReference(t *testing.T, cfg accel.CampaignConfig) *accel.CampaignResult {
+	t.Helper()
+	res, err := accel.RebuildReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +65,7 @@ func assertEqualResults(t *testing.T, label string, ref, got *accel.CampaignResu
 }
 
 // TestAccelCampaignEquivalence sweeps every design × component × model and
-// checks all schedules agree with the serial baseline.
+// checks all schedules agree with the serial rebuild reference.
 func TestAccelCampaignEquivalence(t *testing.T) {
 	const faults = 5
 	for _, spec := range machsuite.All() {
@@ -68,15 +76,13 @@ func TestAccelCampaignEquivalence(t *testing.T) {
 					Model: model, Faults: faults, Seed: 77,
 				}
 				label := fmt.Sprintf("%s/%s/%s", spec.Name, comp.Name, model)
-				refCfg := cfg
-				refCfg.Workers, refCfg.LegacyRebuild = variants[0].workers, variants[0].legacy
-				ref := mustRun(t, refCfg)
+				ref := mustReference(t, cfg)
 				if ref.Counts.Total() != faults {
 					t.Fatalf("%s: classified %d of %d", label, ref.Counts.Total(), faults)
 				}
-				for _, v := range variants[1:] {
+				for _, v := range variants {
 					c := cfg
-					c.Workers, c.LegacyRebuild = v.workers, v.legacy
+					c.Workers = v.workers
 					assertEqualResults(t, label+"/"+v.name, ref, mustRun(t, c))
 				}
 			}
@@ -95,12 +101,10 @@ func TestAccelCampaignEquivalenceStuckAt0(t *testing.T) {
 		Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
 		Model: core.StuckAt0, Faults: 8, Seed: 5,
 	}
-	refCfg := cfg
-	refCfg.Workers, refCfg.LegacyRebuild = 1, true
-	ref := mustRun(t, refCfg)
-	for _, v := range variants[1:] {
+	ref := mustReference(t, cfg)
+	for _, v := range variants {
 		c := cfg
-		c.Workers, c.LegacyRebuild = v.workers, v.legacy
+		c.Workers = v.workers
 		assertEqualResults(t, "gemm/MATRIX1/stuck-at-0/"+v.name, ref, mustRun(t, c))
 	}
 }
@@ -124,17 +128,15 @@ func TestAccelCampaignWindowOverrideEquivalence(t *testing.T) {
 			Model: core.Transient, Faults: 8, Seed: 21,
 			WindowOverride: window,
 		}
-		refCfg := cfg
-		refCfg.Workers, refCfg.LegacyRebuild = 1, true
-		ref := mustRun(t, refCfg)
+		ref := mustReference(t, cfg)
 		for _, r := range ref.Records {
 			if r.Fault.Cycle < 1 || r.Fault.Cycle > window {
 				t.Fatalf("window=%d: drawn cycle %d outside [1, %d]", window, r.Fault.Cycle, window)
 			}
 		}
-		for _, v := range variants[1:] {
+		for _, v := range variants {
 			c := cfg
-			c.Workers, c.LegacyRebuild = v.workers, v.legacy
+			c.Workers = v.workers
 			assertEqualResults(t, fmt.Sprintf("gemm/window=%d/%s", window, v.name), ref, mustRun(t, c))
 		}
 	}
@@ -153,13 +155,37 @@ func TestAccelMaskPopulationWindowIndependentOfSchedule(t *testing.T) {
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
 		Model: core.Transient, Faults: 32, Seed: 9, Workers: 7,
 	})
-	b := mustRun(t, accel.CampaignConfig{
+	b := mustReference(t, accel.CampaignConfig{
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
-		Model: core.Transient, Faults: 32, Seed: 9, Workers: 2, LegacyRebuild: true,
+		Model: core.Transient, Faults: 32, Seed: 9,
 	})
 	for i := range a.Records {
 		if a.Records[i].Fault != b.Records[i].Fault {
 			t.Fatalf("mask %d differs across schedules: %v vs %v", i, a.Records[i].Fault, b.Records[i].Fault)
+		}
+	}
+}
+
+// BenchmarkAccelRebuildReference times the serial rebuild-per-fault
+// reference on the campaign BenchmarkAccelCampaign (repository root) runs
+// through the dispatcher, so the two read as a setup-cost ablation: same
+// faults, same verdicts, one harness build per fault versus one fork per
+// worker.
+func BenchmarkAccelRebuildReference(b *testing.B) {
+	spec, err := machsuite.ByName("gemm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		res, err := accel.RebuildReference(accel.CampaignConfig{
+			Design: spec.Design, Task: spec.Task, Target: "MATRIX1",
+			Model: core.Transient, Faults: 64, Seed: 13,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Counts.Total() != 64 {
+			b.Fatalf("classified %d of 64", res.Counts.Total())
 		}
 	}
 }

@@ -99,10 +99,10 @@ func TestAccelLadderEquivalenceWindowOverride(t *testing.T) {
 	}
 }
 
-// TestAccelLadderLegacyRebuildIgnoresLadder: the serial rebuild baseline
-// reconstructs each run from scratch and must not be perturbed by a
-// ladder setting (it reports zero rungs and rung hits).
-func TestAccelLadderLegacyRebuildIgnoresLadder(t *testing.T) {
+// TestAccelLadderRebuildReferenceIgnoresLadder: the serial rebuild
+// reference reconstructs each run from scratch and must not be perturbed
+// by a ladder setting (it reports zero rungs and rung hits).
+func TestAccelLadderRebuildReferenceIgnoresLadder(t *testing.T) {
 	spec, err := machsuite.ByName("fft")
 	if err != nil {
 		t.Fatal(err)
@@ -111,14 +111,13 @@ func TestAccelLadderLegacyRebuildIgnoresLadder(t *testing.T) {
 		Design: spec.Design, Task: spec.Task, Target: "REAL",
 		Model: core.Transient, Faults: 8, Seed: 9, Workers: 1,
 	}
-	legacy := cfg
-	legacy.LegacyRebuild = true
-	legacy.LadderRungs = 8
-	got := mustRun(t, legacy)
+	laddered := cfg
+	laddered.LadderRungs = 8
+	got := mustReference(t, laddered)
 	ref := mustRun(t, cfg)
-	assertEqualResults(t, "legacy-with-ladder", ref, got)
+	assertEqualResults(t, "reference-with-ladder", ref, got)
 	if got.Forking.Rungs != 0 || got.Forking.RungHits != 0 {
-		t.Errorf("legacy rebuild reported ladder stats: %d rungs, %d hits",
+		t.Errorf("rebuild reference reported ladder stats: %d rungs, %d hits",
 			got.Forking.Rungs, got.Forking.RungHits)
 	}
 }

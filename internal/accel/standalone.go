@@ -97,9 +97,12 @@ func (s *Standalone) Reset() {
 	s.Cluster.ResetTo(s.golden.Cluster)
 }
 
-// ForkPagesCopied reports how many host-memory pages copy-on-write
-// materialized on this fork (zero for ordinary instances).
-func (s *Standalone) ForkPagesCopied() uint64 { return s.Host.CoW().PagesCopied }
+// ForkCounters reports how many host-memory pages copy-on-write
+// materialized on this fork (zero for ordinary instances). The harness
+// has no caches, so no cache sets are ever restored.
+func (s *Standalone) ForkCounters() (pagesCopied, setsRestored uint64) {
+	return s.Host.CoW().PagesCopied, 0
+}
 
 // Run starts the task and ticks until completion or the budget expires.
 func (s *Standalone) Run(budget uint64) error {

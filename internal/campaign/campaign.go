@@ -9,18 +9,15 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
 	"marvel/internal/cpu"
-	"marvel/internal/metrics"
+	"marvel/internal/dispatch"
 	"marvel/internal/obs"
 	"marvel/internal/program"
 	"marvel/internal/soc"
@@ -107,12 +104,6 @@ type Config struct {
 	// WatchdogFactor bounds faulty runs at factor × golden cycles;
 	// expiry classifies as Crash. Default 3.
 	WatchdogFactor float64
-	// LegacyClone forces the pre-CoW forking strategy: one full deep copy
-	// of the checkpoint per faulty run. The default (false) forks one
-	// copy-on-write scratch system per worker and rolls it back between
-	// masks, which is equivalent bit for bit and an order of magnitude
-	// cheaper per fault. Kept for A/B comparison.
-	LegacyClone bool
 	// LadderRungs selects the checkpoint ladder: besides the window-start
 	// checkpoint, the golden system is snapshotted at LadderRungs evenly
 	// spaced cycles inside the injection window, masks are dispatched in
@@ -148,36 +139,10 @@ type Config struct {
 	Profile *obs.Profiler
 }
 
-// ForkStats counts checkpoint-forking activity over one campaign. Workers
-// fold their per-run counters in with atomic adds, so the struct is
-// race-free under any worker count; read it after the campaign returns.
-type ForkStats struct {
-	// Legacy reports that the campaign ran with full per-run deep clones.
-	Legacy bool
-	// Forks is the number of scratch systems created (one per worker in
-	// CoW mode, one per faulty run in legacy mode).
-	Forks uint64
-	// ReuseHits counts faulty runs served by resetting an existing scratch
-	// system instead of building a new one.
-	ReuseHits uint64
-	// PagesCopied is the number of main-memory pages materialized by
-	// copy-on-write across all workers.
-	PagesCopied uint64
-	// CacheSetsRestored is the number of cache sets rolled back to the
-	// golden snapshot by scratch resets across all workers.
-	CacheSetsRestored uint64
-	// Rungs is the number of mid-window ladder checkpoints the campaign
-	// had available (0 when the ladder is off).
-	Rungs int
-	// RungHits counts faulty runs forked from a mid-window rung instead of
-	// the window-start checkpoint.
-	RungHits uint64
-	// ReplayedCycles totals the pre-injection cycles scheduled between
-	// each run's fork point and its first transient injection — the
-	// quantity the ladder exists to shrink. Without a ladder this is the
-	// full window prefix of every transient mask.
-	ReplayedCycles uint64
-}
+// ForkStats counts checkpoint-forking activity over one campaign: every
+// worker forks one copy-on-write scratch system per rung it visits and
+// rolls it back between masks.
+type ForkStats = dispatch.ForkStats
 
 // GoldenInfo describes the fault-free reference run.
 type GoldenInfo struct {
@@ -195,32 +160,16 @@ type Record struct {
 	Verdict classify.Verdict
 }
 
-// Result aggregates one campaign.
+// Result aggregates one campaign. The embedded Summary carries the
+// verdict counts (with the HVF view when Config.HVF is set), the margins,
+// the adaptive-sizing outcome and the fork counters.
 type Result struct {
 	Target     string
 	Model      core.Model
 	Golden     GoldenInfo
 	TargetBits uint64
 	Records    []Record
-	Counts     metrics.Counts
-	// Margin is the Leveugle et al. sampling error over the target's bit
-	// population for the achieved sample size, at quantile Z.
-	Margin float64
-	// Z is the confidence quantile the margins were actually computed
-	// at (Config.Confidence, defaulted).
-	Z float64
-	// Requested is the planned fault budget. len(Records) may be smaller
-	// when adaptive sizing stopped early; FaultsSaved is the difference.
-	Requested   int
-	FaultsSaved int
-	// Batches is how many dispatch batches ran (1 for a fixed campaign).
-	Batches int
-	// AchievedMargin is the Wilson half-width of the final AVF estimate
-	// at quantile Z — the quantity adaptive sizing drives down to
-	// Config.TargetMargin.
-	AchievedMargin float64
-	// Forking describes how faulty runs were forked from the checkpoint.
-	Forking ForkStats
+	dispatch.Summary
 }
 
 // AVF returns the campaign's architectural vulnerability factor.
@@ -370,61 +319,53 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	if cfg.Image == nil {
 		return nil, fmt.Errorf("campaign: no workload image")
 	}
-	if cfg.Faults <= 0 {
-		return nil, fmt.Errorf("campaign: fault count must be positive")
+	plan, err := dispatch.NewPlan(dispatch.Options{
+		Faults: cfg.Faults, Workers: cfg.Workers,
+		TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence,
+		MinFaults: cfg.MinFaults, MaxFaults: cfg.MaxFaults, BatchSize: cfg.BatchSize,
+		LadderRungs: cfg.LadderRungs, OnVerdict: cfg.OnVerdict, Profile: cfg.Profile,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 3
-	}
-	if cfg.LadderRungs < 0 {
-		return nil, fmt.Errorf("campaign: ladder rungs must be non-negative, got %d", cfg.LadderRungs)
-	}
-	if cfg.TargetMargin < 0 || cfg.TargetMargin >= 1 {
-		return nil, fmt.Errorf("campaign: target margin must be in [0, 1), got %v", cfg.TargetMargin)
-	}
-	if cfg.Confidence < 0 {
-		return nil, fmt.Errorf("campaign: confidence quantile must be non-negative, got %v", cfg.Confidence)
-	}
-	if cfg.MinFaults < 0 || cfg.MaxFaults < 0 {
-		return nil, fmt.Errorf("campaign: min/max faults must be non-negative, got %d/%d", cfg.MinFaults, cfg.MaxFaults)
-	}
-	z := cfg.Confidence
-	if z <= 0 {
-		z = 1.96
-	}
-	adaptive := cfg.TargetMargin > 0
-	batchSize := cfg.BatchSize
-	if batchSize <= 0 {
-		batchSize = 32
-	}
-	// The budget is the fixed-campaign fault count: the adaptive run draws
-	// its masks from the first `budget` entries of the same stream, so an
-	// early stop at N leaves exactly the fixed run's first N records.
-	budget := cfg.Faults
-	if adaptive && cfg.MaxFaults > 0 {
-		budget = cfg.MaxFaults
-	}
-	minFaults := cfg.MinFaults
-	if minFaults > budget {
-		minFaults = budget
-	}
-
-	golden, base := &g.Info, g.base
-	goldenTrace, commitsAtCkpt := g.trace, g.commitsAtCkpt
 
 	// Generate the whole budget up front: mask i depends only on (Seed, i,
 	// target geometry), so the population is identical whether or not the
 	// campaign later stops early.
 	maskCfg := cfg
-	maskCfg.Faults = budget
-	masks, bits, err := buildMasks(maskCfg, base, golden)
+	maskCfg.Faults = plan.Budget
+	masks, bits, err := buildMasks(maskCfg, g.base, &g.Info)
 	if err != nil {
 		return nil, err
 	}
 
+	// The checkpoint ladder: rung 0 is the window-start checkpoint;
+	// mid-window rungs (when enabled and the model has transients) let a
+	// run fork closer to its injection cycle.
+	e := &cpuEngine{cfg: cfg, g: g, masks: masks}
+	e.rungs = []rung{{sys: g.base, cycle: g.base.CPU.Cycle(), commits: g.commitsAtCkpt}}
+	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
+		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
+		e.rungs = g.ladder(cfg.LadderRungs)
+		sp.End()
+	}
+	// Per-rung golden-trace views for the HVF comparator: a run forked at
+	// rung r compares against the golden commits from that rung onward and
+	// reports divergence indices offset back to the window-start view, so
+	// DivergeCommit is identical whichever rung served the run.
+	e.subTraces = make([]*trace.Golden, len(e.rungs))
+	if cfg.HVF {
+		for ri, r := range e.rungs {
+			e.subTraces[ri] = g.trace.Slice(r.commits)
+		}
+	}
+
+	verdicts, sum, err := dispatch.Run(plan, e)
+	if err != nil {
+		// A run that cannot even resolve its injection target is an
+		// infrastructure failure, not a hardware fault effect.
+		return nil, err
+	}
 	target := cfg.Target
 	if len(cfg.MultiTargets) > 0 {
 		target = strings.Join(cfg.MultiTargets, "+")
@@ -432,201 +373,46 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	res := &Result{
 		Target:     target,
 		Model:      cfg.Model,
-		Golden:     *golden,
+		Golden:     g.Info,
 		TargetBits: bits,
-		Records:    make([]Record, len(masks)),
-		Z:          z,
-		Requested:  budget,
+		Records:    make([]Record, len(verdicts)),
+		Summary:    sum,
 	}
-
-	// The checkpoint ladder: rung 0 is the window-start checkpoint;
-	// mid-window rungs (when enabled and the model has transients) let a
-	// run fork closer to its injection cycle. rungOf[i] is the rung mask i
-	// forks from.
-	rungs := []rung{{sys: base, cycle: base.CPU.Cycle(), commits: commitsAtCkpt}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
-		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		rungs = g.ladder(cfg.LadderRungs)
-		sp.End()
-	}
-	res.Forking.Rungs = len(rungs) - 1
-	rungOf := make([]int, len(masks))
-	if len(rungs) > 1 {
-		for i := range masks {
-			rungOf[i] = rungFor(rungs, masks[i])
-		}
-	}
-
-	// Per-rung golden-trace views for the HVF comparator: a run forked at
-	// rung r compares against the golden commits from that rung onward and
-	// reports divergence indices offset back to the window-start view, so
-	// DivergeCommit is identical whichever rung served the run.
-	subTraces := make([]*trace.Golden, len(rungs))
-	if cfg.HVF {
-		for ri, r := range rungs {
-			subTraces[ri] = goldenTrace.Slice(r.commits)
-		}
-	}
-	armCycle := rungs[0].cycle
-
-	res.Forking.Legacy = cfg.LegacyClone
-	var statsMu sync.Mutex
-	var firstErr error
-	// failed mirrors firstErr != nil for the dispatcher's between-batch
-	// check without taking statsMu on every worker iteration.
-	var failed atomic.Bool
-	var wg sync.WaitGroup      // worker goroutine lifetimes
-	var pending sync.WaitGroup // in-flight masks of the current batch
-	work := make(chan int)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Each worker forks one copy-on-write scratch system from its
-			// current rung and rolls it back between masks, re-forking when
-			// the dispatch order moves it to a different rung; legacy mode
-			// instead deep-clones the rung snapshot for every mask.
-			var lane *obs.Lane
-			if cfg.Profile != nil {
-				lane = cfg.Profile.NewLane("worker-" + strconv.Itoa(w))
-			}
-			var scratch *soc.System
-			scratchRung := -1
-			var forks, reuses, rungHits, replayed uint64
-			var wErr error
-			process := func(i int) {
-				if wErr != nil {
-					return // drain the queue after an infrastructure failure
-				}
-				r := rungOf[i]
-				id := int64(masks[i].ID)
-				var s *soc.System
-				if cfg.LegacyClone {
-					sp := lane.BeginID(obs.PhaseFork, id)
-					s = rungs[r].sys.Clone()
-					sp.End()
-					forks++
-				} else if scratch == nil || scratchRung != r {
-					sp := lane.BeginID(obs.PhaseFork, id)
-					if scratch != nil {
-						pages, sets := scratch.ForkCounters()
-						atomic.AddUint64(&res.Forking.PagesCopied, pages)
-						atomic.AddUint64(&res.Forking.CacheSetsRestored, sets)
-					}
-					scratch = rungs[r].sys.Fork()
-					scratchRung = r
-					s = scratch
-					sp.End()
-					forks++
-				} else {
-					sp := lane.BeginID(obs.PhaseReset, id)
-					scratch.Reset()
-					s = scratch
-					sp.End()
-					reuses++
-				}
-				if r > 0 {
-					rungHits++
-				}
-				if first, ok := firstTransientCycle(masks[i]); ok && first > rungs[r].cycle {
-					replayed += first - rungs[r].cycle
-				}
-				var v classify.Verdict
-				v, wErr = runOne(cfg, s, golden, subTraces[r], rungs[r].commits-commitsAtCkpt, armCycle, masks[i], lane)
-				if wErr != nil {
-					// Record the failure immediately: the dispatcher checks it
-					// between batches, not only after all workers exit.
-					statsMu.Lock()
-					if firstErr == nil {
-						firstErr = wErr
-					}
-					statsMu.Unlock()
-					failed.Store(true)
-					return
-				}
-				res.Records[i] = Record{Mask: masks[i], Verdict: v}
-				if cfg.OnVerdict != nil {
-					cfg.OnVerdict(i, v)
-				}
-			}
-			for i := range work {
-				process(i)
-				pending.Done()
-			}
-			atomic.AddUint64(&res.Forking.Forks, forks)
-			atomic.AddUint64(&res.Forking.ReuseHits, reuses)
-			atomic.AddUint64(&res.Forking.RungHits, rungHits)
-			atomic.AddUint64(&res.Forking.ReplayedCycles, replayed)
-			if scratch != nil {
-				pages, sets := scratch.ForkCounters()
-				atomic.AddUint64(&res.Forking.PagesCopied, pages)
-				atomic.AddUint64(&res.Forking.CacheSetsRestored, sets)
-			}
-		}()
-	}
-
-	// Batched dispatch. A fixed campaign is one batch spanning the whole
-	// budget; an adaptive campaign sends masks [done, hi) per batch and
-	// re-evaluates the Wilson half-width at each barrier. Batches are
-	// contiguous mask-index ranges, so the set of executed masks is always
-	// the stream prefix [0, done) — the invariant the differential suite
-	// proves — while rung sorting inside a batch keeps each worker's
-	// scratch walking the ladder monotonically.
-	done := 0
-	for done < len(masks) {
-		hi := len(masks)
-		if adaptive && done+batchSize < hi {
-			hi = done + batchSize
-		}
-		batch := make([]int, hi-done)
-		for j := range batch {
-			batch[j] = done + j
-		}
-		if len(rungs) > 1 {
-			sort.SliceStable(batch, func(a, b int) bool { return rungOf[batch[a]] < rungOf[batch[b]] })
-		}
-		pending.Add(len(batch))
-		for _, i := range batch {
-			work <- i
-		}
-		pending.Wait()
-		done = hi
-		res.Batches++
-		if failed.Load() {
-			break
-		}
-		if adaptive && done >= minFaults && done < len(masks) {
-			var c metrics.Counts
-			for _, r := range res.Records[:done] {
-				c.Add(r.Verdict)
-			}
-			if metrics.Confidence(c.AVF(), done, z).Half() <= cfg.TargetMargin {
-				break
-			}
-		}
-	}
-	close(work)
-	wg.Wait()
-	// A run that cannot even resolve its injection target is an
-	// infrastructure failure, not a hardware fault effect: abort instead of
-	// inflating the AVF with fake crashes.
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	res.Records = res.Records[:done]
-	res.FaultsSaved = res.Requested - done
-	res.Margin = core.MarginFor(bits, done, z)
-	for _, r := range res.Records {
-		res.Counts.Add(r.Verdict)
+	for i, v := range verdicts {
+		res.Records[i] = Record{Mask: masks[i], Verdict: v}
 		// The HVF view only exists when the commit-trace analysis ran;
 		// folding it unconditionally would report HVF = 0.0 as if measured.
 		if cfg.HVF {
-			res.Counts.AddHVF(r.Verdict)
+			res.Counts.AddHVF(v)
 		}
 	}
-	res.AchievedMargin = metrics.Confidence(res.Counts.AVF(), done, z).Half()
+	res.Margin = core.MarginFor(bits, len(verdicts), plan.Z)
+	res.Forking.Rungs = len(e.rungs) - 1
 	return res, nil
+}
+
+// cpuEngine adapts one prepared CPU campaign to the shared dispatcher.
+type cpuEngine struct {
+	cfg       Config
+	g         *Golden
+	masks     []core.Mask
+	rungs     []rung
+	subTraces []*trace.Golden
+}
+
+func (e *cpuEngine) Rung(i int) int { return rungFor(e.rungs, e.masks[i]) }
+
+func (e *cpuEngine) Fork(r int) *soc.System { return e.rungs[r].sys.Fork() }
+
+func (e *cpuEngine) Replayed(i, r int) uint64 {
+	if first, ok := firstTransientCycle(e.masks[i]); ok && first > e.rungs[r].cycle {
+		return first - e.rungs[r].cycle
+	}
+	return 0
+}
+
+func (e *cpuEngine) Run(s *soc.System, i, r int, lane *obs.Lane) (classify.Verdict, error) {
+	return runOne(e.cfg, s, &e.g.Info, e.subTraces[r], e.rungs[r].commits-e.g.commitsAtCkpt, e.rungs[0].cycle, e.masks[i], lane)
 }
 
 // runGolden performs the fault-free run, returning the reference info, the
@@ -731,13 +517,13 @@ func multiTargetMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.
 	return masks, total, nil
 }
 
-// runOne drives one faulty simulation on s — a system already positioned
-// at a checkpoint snapshot (a fresh clone, a fresh fork, or a reset
-// scratch fork of any ladder rung; all are state-identical to a
-// window-start fork simulated to the same cycle) — applies the mask, runs
-// to completion (or early termination) and classifies. goldenTrace is the
-// golden commit trace from the fork point onward and commitOffset the
-// fork point's commit distance from the window-start checkpoint, so HVF
+// runOne drives one faulty simulation on s — a system positioned at or
+// before its first injection cycle on the golden path (a fresh or reset
+// fork of any ladder rung; the test-only references also pass a deep
+// clone or a cold-started system) — applies the mask, runs to completion
+// (or early termination) and classifies. goldenTrace is the golden commit
+// trace from s's position onward and commitOffset that position's commit
+// distance from the window-start checkpoint, so HVF
 // divergence indices are reported in window-start coordinates regardless
 // of which rung served the run; armCycle is the window-start checkpoint
 // cycle, stamped on arming events so rung restores narrate identically.
@@ -797,7 +583,11 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 		}
 	}
 
-	budget := uint64(float64(golden.Cycles)*cfg.WatchdogFactor) + 20_000
+	factor := cfg.WatchdogFactor
+	if factor <= 1 {
+		factor = 3
+	}
+	budget := uint64(float64(golden.Cycles)*factor) + 20_000
 
 	if tr != nil {
 		// Arming is narrated at the window-start checkpoint cycle — the
@@ -987,7 +777,7 @@ func stuckVal(m core.Model) uint8 {
 // shared splitmix64 scheme in internal/core (the same derivation the
 // accelerator campaigns draw their mask coordinates from). Nothing about
 // the execution schedule (worker count, which worker picked the mask, run
-// order, clone-vs-fork strategy) enters the derivation, so every mask
+// order, fork point) enters the derivation, so every mask
 // resolves to the same resampled bit no matter how the campaign is
 // parallelized.
 func resampleLive(tgt core.Target, f core.Fault, seed int64, maskID int) uint64 {

@@ -6,7 +6,6 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/core"
 	"marvel/internal/obs"
-	"marvel/internal/trace"
 )
 
 // Explanation is the result of re-running one campaign fault with full
@@ -43,9 +42,6 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	if index < 0 {
 		return nil, fmt.Errorf("campaign: explain: index must be non-negative, got %d", index)
 	}
-	if cfg.WatchdogFactor <= 1 {
-		cfg.WatchdogFactor = 3
-	}
 	// Re-derive exactly the campaign's mask at this index: generation is a
 	// pure function of (Seed, index, geometry), so a prefix of index+1
 	// masks reproduces it bit for bit.
@@ -62,13 +58,7 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	// original campaign ran AVF-only; the HVF view is an overlay on the
 	// same run and does not perturb the AVF verdict.
 	cfg.HVF = true
-	var subTrace *trace.Golden
-	if g.trace != nil {
-		subTrace = g.trace.Slice(g.commitsAtCkpt)
-	}
-
-	s := g.base.Fork()
-	v, err := runOne(cfg, s, &g.Info, subTrace, 0, g.base.CPU.Cycle(), mask, nil)
+	v, err := runOne(cfg, g.base.Fork(), &g.Info, g.trace.Slice(g.commitsAtCkpt), 0, g.base.CPU.Cycle(), mask, nil)
 	if err != nil {
 		return nil, err
 	}

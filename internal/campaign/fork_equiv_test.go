@@ -1,11 +1,13 @@
 package campaign_test
 
 // Differential equivalence suite for copy-on-write checkpoint forking:
-// the CoW fork/reset strategy must be bit-for-bit indistinguishable from
-// the legacy per-run deep clone. Every CPU target runs the same small
-// campaign under both strategies and the complete results — per-mask
-// classifications, HVF commit-trace verdicts, cycle counts, crash codes,
-// aggregate counts and AVF/HVF numbers — are compared field by field.
+// the dispatched fork/reset campaign must be bit-for-bit indistinguishable
+// from the test-only ColdStartReference, which builds every transient run
+// from scratch and deep-clones the checkpoint for stuck-at runs. Every CPU
+// target runs the same small campaign both ways and the complete results —
+// per-mask classifications, HVF commit-trace verdicts, cycle counts, crash
+// codes, aggregate counts and AVF/HVF numbers — are compared field by
+// field.
 
 import (
 	"bytes"
@@ -21,10 +23,10 @@ import (
 func diffResults(t *testing.T, label string, a, b *campaign.Result) {
 	t.Helper()
 	if a.Counts != b.Counts {
-		t.Errorf("%s: counts differ:\n clone: %v\n fork:  %v", label, a.Counts, b.Counts)
+		t.Errorf("%s: counts differ:\n reference: %v\n fork:      %v", label, a.Counts, b.Counts)
 	}
 	if a.AVF() != b.AVF() || a.Counts.HVF() != b.Counts.HVF() {
-		t.Errorf("%s: AVF/HVF differ: clone %.6f/%.6f fork %.6f/%.6f",
+		t.Errorf("%s: AVF/HVF differ: reference %.6f/%.6f fork %.6f/%.6f",
 			label, a.AVF(), a.Counts.HVF(), b.AVF(), b.Counts.HVF())
 	}
 	if a.Margin != b.Margin || a.TargetBits != b.TargetBits {
@@ -41,32 +43,29 @@ func diffResults(t *testing.T, label string, a, b *campaign.Result) {
 	for i := range a.Records {
 		va, vb := a.Records[i].Verdict, b.Records[i].Verdict
 		if va != vb {
-			t.Errorf("%s: mask %d (%v) differs:\n clone: %+v\n fork:  %+v",
+			t.Errorf("%s: mask %d (%v) differs:\n reference: %+v\n fork:      %+v",
 				label, i, a.Records[i].Mask.Faults, va, vb)
 		}
 	}
 }
 
-// runBoth executes the same campaign with the legacy clone strategy and
-// with CoW forking, returning both results.
-func runBoth(t *testing.T, cfg campaign.Config) (clone, fork *campaign.Result) {
+// runBoth executes the same campaign through the test-only cold-start
+// reference and through the dispatcher's CoW forking, returning both
+// results.
+func runBoth(t *testing.T, cfg campaign.Config) (ref, fork *campaign.Result) {
 	t.Helper()
-	legacy := cfg
-	legacy.LegacyClone = true
-	clone, err := campaign.Run(legacy)
+	ref, err := campaign.ColdStartReference(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cow := cfg
-	cow.LegacyClone = false
-	fork, err = campaign.Run(cow)
+	fork, err = campaign.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if clone.Forking.ReuseHits != 0 {
-		t.Errorf("legacy campaign reported %d reuse hits", clone.Forking.ReuseHits)
+	if n := uint64(len(ref.Records)); ref.Forking.Forks != n || ref.Forking.ReuseHits != 0 {
+		t.Errorf("reference built %d systems with %d reuses, want %d and 0", ref.Forking.Forks, ref.Forking.ReuseHits, n)
 	}
-	return clone, fork
+	return ref, fork
 }
 
 func TestForkCloneEquivalenceAllTargets(t *testing.T) {
@@ -85,8 +84,8 @@ func TestForkCloneEquivalenceAllTargets(t *testing.T) {
 				HVF:     true,
 				Workers: 2,
 			}
-			clone, fork := runBoth(t, cfg)
-			diffResults(t, target, clone, fork)
+			ref, fork := runBoth(t, cfg)
+			diffResults(t, target, ref, fork)
 			if fork.Forking.ReuseHits == 0 {
 				t.Errorf("%s: CoW campaign never reused a scratch system: %+v", target, fork.Forking)
 			}
@@ -109,8 +108,8 @@ func TestForkCloneEquivalenceValidOnlyDomain(t *testing.T) {
 		HVF:     true,
 		Workers: 3,
 	}
-	clone, fork := runBoth(t, cfg)
-	diffResults(t, "l1d/valid-only", clone, fork)
+	ref, fork := runBoth(t, cfg)
+	diffResults(t, "l1d/valid-only", ref, fork)
 }
 
 func TestForkCloneEquivalencePermanentFaults(t *testing.T) {
@@ -127,8 +126,8 @@ func TestForkCloneEquivalencePermanentFaults(t *testing.T) {
 			Seed:    31,
 			Workers: 2,
 		}
-		clone, fork := runBoth(t, cfg)
-		diffResults(t, m.String(), clone, fork)
+		ref, fork := runBoth(t, cfg)
+		diffResults(t, m.String(), ref, fork)
 	}
 }
 
@@ -146,8 +145,8 @@ func TestForkCloneEquivalenceEarlyTermination(t *testing.T) {
 		EarlyTermination: true,
 		Workers:          2,
 	}
-	clone, fork := runBoth(t, cfg)
-	diffResults(t, "prf/earlyterm", clone, fork)
+	ref, fork := runBoth(t, cfg)
+	diffResults(t, "prf/earlyterm", ref, fork)
 }
 
 func TestForkCloneEquivalenceMultiStructure(t *testing.T) {
@@ -163,8 +162,35 @@ func TestForkCloneEquivalenceMultiStructure(t *testing.T) {
 		Seed:         41,
 		Workers:      2,
 	}
-	clone, fork := runBoth(t, cfg)
-	diffResults(t, "multi-structure", clone, fork)
+	ref, fork := runBoth(t, cfg)
+	diffResults(t, "multi-structure", ref, fork)
+}
+
+func TestForkCloneEquivalenceMemoryRollback(t *testing.T) {
+	// With caches this small, faulty runs write dirty lines back to main
+	// memory, so a scratch reset must roll memory back too: a run that
+	// re-reads a written-back line would otherwise see the previous run's
+	// data. The shipped presets keep every workload cache-resident, which
+	// leaves main-memory rollback unexercised by the other cases.
+	img := compileWorkload(t, "riscv", "patricia")
+	pre := config.Fast()
+	pre.Hier.L1D.SizeBytes = 1 << 10
+	pre.Hier.L2.SizeBytes = 2 << 10
+	cfg := campaign.Config{
+		Image:   img,
+		Preset:  pre,
+		Target:  "prf",
+		Model:   core.Transient,
+		Faults:  16,
+		Seed:    23,
+		HVF:     true,
+		Workers: 2,
+	}
+	ref, fork := runBoth(t, cfg)
+	diffResults(t, "prf/tiny-caches", ref, fork)
+	if fork.Forking.PagesCopied == 0 || fork.Forking.ReuseHits == 0 {
+		t.Fatalf("campaign never reset a scratch with dirty memory pages: %+v", fork.Forking)
+	}
 }
 
 func TestCampaignWorkerCountInvariance(t *testing.T) {
@@ -220,9 +246,6 @@ func TestForkStatsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := res.Forking
-	if f.Legacy {
-		t.Fatal("CoW forking should be the default strategy")
-	}
 	if f.Forks == 0 || f.Forks > 2 {
 		t.Errorf("expected one fork per active worker (<=2), got %d", f.Forks)
 	}

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -289,5 +292,38 @@ func TestHTTPErrors(t *testing.T) {
 	}
 	if resp, _ := postJob(t, ts, fastCampaign(4)); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("draining submit status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestHTTPRejectsRetiredForkingOptions: the per-run clone and rebuild A/B
+// options were removed from the campaign and accel specs. A submission
+// that still carries one is an unknown field and gets 400, instead of
+// silently running the default forking strategy.
+func TestHTTPRejectsRetiredForkingOptions(t *testing.T) {
+	s := &Server{Manager: NewManager(Config{Workers: 1})}
+	defer s.Manager.Drain()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, name := range []string{"retired_ab_campaign.json", "retired_ab_accel.json"} {
+		body, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unknown field") {
+			t.Fatalf("%s: status %d (%s), want 400 for an unknown field", name, resp.StatusCode, msg)
+		}
+	}
+	if got := s.Manager.Stats().Submitted; got != 0 {
+		t.Fatalf("retired-option submissions counted: %d", got)
 	}
 }

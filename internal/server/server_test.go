@@ -253,7 +253,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Kind: KindCampaign},
 		{Kind: KindCampaign, Campaign: &marvel.CampaignOptions{ISA: "mips", Workload: "crc32", Target: "prf", Faults: 4}},
 		{Kind: KindCampaign, Campaign: &marvel.CampaignOptions{ISA: "riscv", Workload: "crc32", Target: "prf", Faults: 0}},
-		{Kind: KindCampaign, Campaign: &marvel.CampaignOptions{ISA: "riscv", Workload: "crc32", Target: "prf", Faults: 4, LegacyClone: true}},
 		{Kind: KindCampaign, Campaign: fastCampaign(1).Campaign, Accel: fastAccel(1).Accel},
 		{Kind: KindAccel, Accel: &marvel.AccelOptions{Design: "gemm", Component: "MATRIX9", Faults: 4}},
 		{Kind: KindAccel, Accel: &marvel.AccelOptions{Design: "gemm", Component: "MATRIX1", Faults: 4, GemmMultipliers: 3}},

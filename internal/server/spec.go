@@ -63,9 +63,6 @@ func (r Request) Validate() error {
 		if r.Accel != nil || r.Sweep != nil {
 			return fmt.Errorf("server: exactly one spec per request")
 		}
-		if r.Campaign.LegacyClone {
-			return fmt.Errorf("server: legacyClone A/B mode is not available in service mode")
-		}
 		return r.Campaign.Validate()
 	case KindAccel:
 		if r.Accel == nil {
@@ -76,9 +73,6 @@ func (r Request) Validate() error {
 		}
 		if r.Accel.GemmMultipliers > 0 {
 			return fmt.Errorf("server: gemmMultipliers override is not available in service mode")
-		}
-		if r.Accel.LegacyRebuild {
-			return fmt.Errorf("server: legacyRebuild A/B mode is not available in service mode")
 		}
 		return r.Accel.Validate()
 	case KindSweep:

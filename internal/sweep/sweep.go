@@ -30,6 +30,7 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
 	"marvel/internal/obs"
@@ -511,18 +512,18 @@ func Run(spec Spec) (_ *Result, err error) {
 				}
 				res.Counters.EarlyStops += int64(rep.EarlyStops)
 				res.Counters.FaultsSaved += int64(rep.FaultsSaved)
-				res.Counters.Forks += fc.forks
-				res.Counters.ForkReuses += fc.reuses
-				res.Counters.RungHits += fc.rungHits
-				res.Counters.ReplayedCycles += fc.replayed
+				res.Counters.Forks += fc.Forks
+				res.Counters.ForkReuses += fc.ReuseHits
+				res.Counters.RungHits += fc.RungHits
+				res.Counters.ReplayedCycles += fc.ReplayedCycles
 				if spec.Metrics != nil {
 					if hit {
 						spec.Metrics.GoldenHits.Inc()
 					} else {
 						spec.Metrics.GoldenRuns.Inc()
 					}
-					spec.Metrics.AddForkStats(fc.forks, fc.reuses)
-					spec.Metrics.AddLadderStats(fc.rungHits, fc.replayed)
+					spec.Metrics.AddForkStats(fc.Forks, fc.ReuseHits)
+					spec.Metrics.AddLadderStats(fc.RungHits, fc.ReplayedCycles)
 					spec.Metrics.CellLatencyMS.Observe(uint64(rep.WallMS))
 				}
 				var jerr error
@@ -559,15 +560,11 @@ func Run(spec Spec) (_ *Result, err error) {
 	return res, nil
 }
 
-// forkCounters carries one cell's forking/ladder totals back to Run.
-type forkCounters struct {
-	forks, reuses, rungHits, replayed uint64
-}
-
 // runCell executes one cell, preparing (or reusing) its golden phase.
-// hit reports whether the golden came from the cache.
+// hit reports whether the golden came from the cache; fc carries the
+// cell's forking and ladder totals back to Run.
 func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
-	goldens GoldenCache, tr *tracker) (rep *CellReport, hit bool, fc forkCounters, err error) {
+	goldens GoldenCache, tr *tracker) (rep *CellReport, hit bool, fc dispatch.ForkStats, err error) {
 
 	t0 := time.Now() //marvel:allow determinism per-cell wall attribution; never enters the cell's verdicts
 	onVerdict := tr.onVerdict
@@ -626,15 +623,9 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 		if err != nil {
 			return nil, false, fc, err
 		}
-		r := cpuCellReport(cell, cres)
+		r := cellReport(cell, &cres.Summary, cres.Golden.Cycles, cres.TargetBits, DigestCPURecords(cres.Records))
 		r.WallMS = time.Since(t0).Milliseconds() //marvel:allow determinism wall attribution metadata
-		fc = forkCounters{
-			forks:    cres.Forking.Forks,
-			reuses:   cres.Forking.ReuseHits,
-			rungHits: cres.Forking.RungHits,
-			replayed: cres.Forking.ReplayedCycles,
-		}
-		return &r, hit, fc, nil
+		return &r, hit, cres.Forking, nil
 
 	case KindAccel:
 		g, hit, err := goldens.AccelGolden(AccelGoldenKey(cell.Design), func() (*AccelGolden, error) {
@@ -666,73 +657,42 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 		if err != nil {
 			return nil, false, fc, err
 		}
-		r := accelCellReport(cell, ares)
+		r := cellReport(cell, &ares.Summary, ares.GoldenCycles, ares.TargetBits, DigestAccelRecords(ares.Records))
 		r.WallMS = time.Since(t0).Milliseconds() //marvel:allow determinism wall attribution metadata
-		fc = forkCounters{
-			forks:    ares.Forking.Forks,
-			reuses:   ares.Forking.ReuseHits,
-			rungHits: ares.Forking.RungHits,
-			replayed: ares.Forking.ReplayedCycles,
-		}
-		return &r, hit, fc, nil
+		return &r, hit, ares.Forking, nil
 	}
 	return nil, false, fc, fmt.Errorf("sweep: unknown cell kind %q", cell.Kind)
 }
 
-// cpuCellReport converts a campaign result into the persisted form.
-func cpuCellReport(cell Cell, res *campaign.Result) CellReport {
+// cellReport converts a campaign's summary into the persisted form.
+func cellReport(cell Cell, sum *dispatch.Summary, goldenCycles, bits uint64, digest string) CellReport {
 	r := CellReport{
 		Key:            cell.Key(),
 		Cell:           cell,
-		Faults:         res.Counts.Total(),
-		Masked:         res.Counts.Masked,
-		SDC:            res.Counts.SDC,
-		Crash:          res.Counts.Crash,
-		EarlyStops:     res.Counts.EarlyStops,
-		AVF:            res.Counts.AVF(),
-		SDCAVF:         res.Counts.SDCAVF(),
-		CrashAVF:       res.Counts.CrashAVF(),
-		Margin:         res.Margin,
-		Z:              res.Z,
-		AchievedMargin: res.AchievedMargin,
-		Requested:      res.Requested,
-		FaultsSaved:    res.FaultsSaved,
-		Batches:        res.Batches,
-		GoldenCycles:   res.Golden.Cycles,
-		TargetBits:     res.TargetBits,
-		Digest:         DigestCPURecords(res.Records),
+		Faults:         sum.Counts.Total(),
+		Masked:         sum.Counts.Masked,
+		SDC:            sum.Counts.SDC,
+		Crash:          sum.Counts.Crash,
+		EarlyStops:     sum.Counts.EarlyStops,
+		AVF:            sum.Counts.AVF(),
+		SDCAVF:         sum.Counts.SDCAVF(),
+		CrashAVF:       sum.Counts.CrashAVF(),
+		Margin:         sum.Margin,
+		Z:              sum.Z,
+		AchievedMargin: sum.AchievedMargin,
+		Requested:      sum.Requested,
+		FaultsSaved:    sum.FaultsSaved,
+		Batches:        sum.Batches,
+		GoldenCycles:   goldenCycles,
+		TargetBits:     bits,
+		Digest:         digest,
 	}
-	if res.Counts.HVFMeasured() {
+	if sum.Counts.HVFMeasured() {
 		r.HVFMeasured = true
-		h := res.Counts.HVF()
+		h := sum.Counts.HVF()
 		r.HVF = &h
 	}
 	return r
-}
-
-// accelCellReport converts an accelerator campaign result.
-func accelCellReport(cell Cell, res *accel.CampaignResult) CellReport {
-	return CellReport{
-		Key:            cell.Key(),
-		Cell:           cell,
-		Faults:         res.Counts.Total(),
-		Masked:         res.Counts.Masked,
-		SDC:            res.Counts.SDC,
-		Crash:          res.Counts.Crash,
-		EarlyStops:     res.Counts.EarlyStops,
-		AVF:            res.Counts.AVF(),
-		SDCAVF:         res.Counts.SDCAVF(),
-		CrashAVF:       res.Counts.CrashAVF(),
-		Margin:         res.Margin,
-		Z:              res.Z,
-		AchievedMargin: res.AchievedMargin,
-		Requested:      res.Requested,
-		FaultsSaved:    res.FaultsSaved,
-		Batches:        res.Batches,
-		GoldenCycles:   res.GoldenCycles,
-		TargetBits:     res.TargetBits,
-		Digest:         DigestAccelRecords(res.Records),
-	}
 }
 
 // SortedKeys returns the plan keys in deterministic order (debugging and

@@ -71,6 +71,7 @@ var enginePaths = []string{
 	"marvel/internal/mem",
 	"marvel/internal/accel",
 	"marvel/internal/campaign",
+	"marvel/internal/dispatch",
 	"marvel/internal/classify",
 	"marvel/internal/sweep",
 	"marvel/internal/program",

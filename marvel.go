@@ -28,6 +28,7 @@ import (
 	"marvel/internal/classify"
 	"marvel/internal/config"
 	"marvel/internal/core"
+	"marvel/internal/dispatch"
 	"marvel/internal/isa"
 	"marvel/internal/machsuite"
 	"marvel/internal/metrics"
@@ -155,9 +156,6 @@ type CampaignOptions struct {
 	// Workers bounds campaign parallelism; 0 = GOMAXPROCS. Results are
 	// identical for every worker count.
 	Workers int
-	// LegacyClone forces the pre-CoW per-run deep-clone strategy, for A/B
-	// comparison against copy-on-write checkpoint forking (the default).
-	LegacyClone bool
 	// LadderRungs snapshots the golden run at this many evenly spaced
 	// cycles inside the injection window and forks each transient run from
 	// the nearest rung before its injection cycle, replaying only the
@@ -199,28 +197,17 @@ func (o CampaignOptions) Validate() error {
 	if _, err := sweep.SplitTarget(o.Target); err != nil {
 		return err
 	}
-	if o.Faults <= 0 {
-		return fmt.Errorf("marvel: fault count must be positive, got %d", o.Faults)
-	}
-	if o.LadderRungs < 0 {
-		return fmt.Errorf("marvel: ladder rungs must be non-negative, got %d", o.LadderRungs)
-	}
-	if err := validateAdaptive(o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults); err != nil {
-		return err
-	}
-	return nil
+	return validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
 }
 
-// validateAdaptive checks the shared adaptive-sizing knobs.
-func validateAdaptive(margin, confidence float64, minF, maxF int) error {
-	if margin < 0 || margin >= 1 {
-		return fmt.Errorf("marvel: target margin must be in [0, 1), got %v", margin)
-	}
-	if confidence < 0 {
-		return fmt.Errorf("marvel: confidence quantile must be non-negative, got %v", confidence)
-	}
-	if minF < 0 || maxF < 0 {
-		return fmt.Errorf("marvel: min/max faults must be non-negative, got %d/%d", minF, maxF)
+// validateSizing checks the sample-sizing knobs every campaign kind
+// shares with the engines' dispatcher.
+func validateSizing(faults, ladder int, margin, confidence float64, minF, maxF int) error {
+	if _, err := dispatch.NewPlan(dispatch.Options{
+		Faults: faults, LadderRungs: ladder,
+		TargetMargin: margin, Confidence: confidence, MinFaults: minF, MaxFaults: maxF,
+	}); err != nil {
+		return fmt.Errorf("marvel: %w", err)
 	}
 	return nil
 }
@@ -263,10 +250,9 @@ type Report struct {
 	IPC          float64
 	EarlyStops   int
 
-	// Forking stats: how the faulty runs were set up. With CoW forking
-	// Forks is one per active worker and ForkReuses covers the rest of the
-	// masks; the legacy strategy reports one fork (deep clone) per mask.
-	LegacyClone  bool
+	// Forking stats: how the faulty runs were set up. Forks is one per
+	// active worker (and ladder rung it visited) and ForkReuses covers the
+	// rest of the masks.
 	Forks        uint64
 	ForkReuses   uint64
 	PagesCopied  uint64
@@ -322,7 +308,6 @@ func RunCampaign(o CampaignOptions) (*Report, error) {
 		HVF:              o.HVF,
 		EarlyTermination: o.EarlyTermination,
 		WatchdogFactor:   o.WatchdogFactor,
-		LegacyClone:      o.LegacyClone,
 		LadderRungs:      o.LadderRungs,
 		TargetMargin:     o.TargetMargin,
 		Confidence:       o.Confidence,
@@ -372,7 +357,6 @@ func RunCampaign(o CampaignOptions) (*Report, error) {
 		GoldenInsts:    res.Golden.Insts,
 		IPC:            res.Golden.Stats.IPC(),
 		EarlyStops:     res.Counts.EarlyStops,
-		LegacyClone:    res.Forking.Legacy,
 		Forks:          res.Forking.Forks,
 		ForkReuses:     res.Forking.ReuseHits,
 		PagesCopied:    res.Forking.PagesCopied,
@@ -405,14 +389,11 @@ type AccelOptions struct {
 	// Workers bounds campaign parallelism; 0 = GOMAXPROCS. Results are
 	// identical for every worker count.
 	Workers int
-	// LegacyRebuild forces the pre-fork strategy (a full harness rebuild
-	// per fault) for A/B comparison against fork/reset reuse (the default).
-	LegacyRebuild bool
 	// LadderRungs snapshots the fault-free task at this many evenly spaced
 	// cycles inside the injection window and forks each transient run from
 	// the nearest rung strictly before its injection cycle. 0 keeps the
 	// single pristine checkpoint; results are bit-identical for every
-	// value. Ignored under LegacyRebuild.
+	// value.
 	LadderRungs int
 	// Metrics, when non-nil, receives live verdict-mix and fork counters
 	// as the campaign runs (the registry behind the CLI's -debug-addr
@@ -442,16 +423,7 @@ func (o AccelOptions) Validate() error {
 	if _, err := o.Model.internal(); err != nil {
 		return err
 	}
-	if o.Faults <= 0 {
-		return fmt.Errorf("marvel: fault count must be positive, got %d", o.Faults)
-	}
-	if o.LadderRungs < 0 {
-		return fmt.Errorf("marvel: ladder rungs must be non-negative, got %d", o.LadderRungs)
-	}
-	if err := validateAdaptive(o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults); err != nil {
-		return err
-	}
-	return nil
+	return validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
 }
 
 // AccelReport is the outcome of an accelerator campaign.
@@ -478,13 +450,12 @@ type AccelReport struct {
 	TaskCycles uint64
 	AreaUnits  float64
 
-	// Forking stats: how the faulty harnesses were set up. With fork/reset
-	// reuse Forks is one per active worker and ForkReuses covers the rest
-	// of the masks; the legacy strategy rebuilds one harness per mask.
-	LegacyRebuild bool
-	Forks         uint64
-	ForkReuses    uint64
-	PagesCopied   uint64
+	// Forking stats: how the faulty harnesses were set up. Forks is one
+	// per active worker (and ladder rung it visited) and ForkReuses covers
+	// the rest of the masks.
+	Forks       uint64
+	ForkReuses  uint64
+	PagesCopied uint64
 	// Checkpoint-ladder stats (see AccelOptions.LadderRungs).
 	Rungs          int
 	RungHits       uint64
@@ -507,20 +478,19 @@ func RunAccelCampaign(o AccelOptions) (*AccelReport, error) {
 		return nil, err
 	}
 	cfg := accel.CampaignConfig{
-		Design:        design,
-		Task:          task,
-		Target:        o.Component,
-		Model:         model,
-		Faults:        o.Faults,
-		Seed:          o.Seed,
-		Workers:       o.Workers,
-		LegacyRebuild: o.LegacyRebuild,
-		LadderRungs:   o.LadderRungs,
-		TargetMargin:  o.TargetMargin,
-		Confidence:    o.Confidence,
-		MinFaults:     o.MinFaults,
-		MaxFaults:     o.MaxFaults,
-		Profile:       o.Profile,
+		Design:       design,
+		Task:         task,
+		Target:       o.Component,
+		Model:        model,
+		Faults:       o.Faults,
+		Seed:         o.Seed,
+		Workers:      o.Workers,
+		LadderRungs:  o.LadderRungs,
+		TargetMargin: o.TargetMargin,
+		Confidence:   o.Confidence,
+		MinFaults:    o.MinFaults,
+		MaxFaults:    o.MaxFaults,
+		Profile:      o.Profile,
 	}
 	if reg := o.Metrics; reg != nil {
 		cfg.OnVerdict = func(_ int, v classify.Verdict) {
@@ -553,7 +523,6 @@ func RunAccelCampaign(o AccelOptions) (*AccelReport, error) {
 		Batches:        res.Batches,
 		TaskCycles:     res.GoldenCycles,
 		AreaUnits:      accel.AreaUnits(design),
-		LegacyRebuild:  res.Forking.Legacy,
 		Forks:          res.Forking.Forks,
 		ForkReuses:     res.Forking.ReuseHits,
 		PagesCopied:    res.Forking.PagesCopied,
@@ -645,13 +614,7 @@ func (o SweepOptions) Validate() error {
 	if _, err := presetFor(o.Preset, o.PhysRegs); err != nil {
 		return err
 	}
-	if o.Faults <= 0 {
-		return fmt.Errorf("marvel: fault count must be positive, got %d", o.Faults)
-	}
-	if o.LadderRungs < 0 {
-		return fmt.Errorf("marvel: ladder rungs must be non-negative, got %d", o.LadderRungs)
-	}
-	if err := validateAdaptive(o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults); err != nil {
+	if err := validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults); err != nil {
 		return err
 	}
 	models := make([]string, len(o.Models))

@@ -5,9 +5,10 @@
 #       (determinism, maporder, rngsource, obscost, errdiscipline) must
 #       pass on the whole tree, and — guard-the-guard — must demonstrably
 #       fail on a seeded violation
-#   2. race jobs: the CPU and accelerator campaigns' parallel paths under
-#      the race detector (including traced campaigns, atomic ForkStats
-#      and the checkpoint-ladder differential suite)
+#   2. race jobs: the shared fault dispatcher and the CPU and accelerator
+#      campaigns' parallel paths under the race detector (including traced
+#      campaigns, ForkStats folding and the checkpoint-ladder differential
+#      suite), and a guard that the fork-free reference differentials ran
 #   3. sweep race job + differential guard: the orchestrator's two-level
 #      parallelism, golden-cache reuse and resume must be race-free and
 #      bit-identical to standalone campaigns; adaptive confidence-targeted
@@ -63,14 +64,38 @@ if go run ./cmd/marvel-vet -as marvel/internal/campaign "$vetdir/bad.go" >/dev/n
 fi
 rm -rf "$vetdir"
 
+echo "== race: shared fault dispatcher =="
+go test -race ./internal/dispatch
+
 echo "== race: parallel campaign determinism =="
+# TestForkCloneEquivalence* check the dispatched campaign against the
+# test-only ColdStartReference, which never forks or resets.
 go test -race -run 'TestCampaignWorkerCountInvariance|TestForkCloneEquivalence' ./internal/campaign
 go test -race -run 'TestTracingDoesNotChangeVerdicts|TestForkStatsUnderParallelWorkers' ./internal/campaign
 
 echo "== race: parallel accel campaign determinism =="
 go test -race -run 'TestAccelCampaignWorkerInvariance|TestStandaloneForkResetEquivalence' ./internal/accel
-go test -race -run 'TestAccelCampaignEquivalenceStuckAt0|TestAccelMaskPopulationWindowIndependentOfSchedule' ./internal/accel
+# These check the dispatched campaign against the test-only
+# RebuildReference, which builds a fresh harness per fault.
+go test -race -run 'TestAccelCampaignEquivalenceStuckAt0|TestAccelMaskPopulationWindowIndependentOfSchedule|TestAccelInPlaceTaskMatchesRebuildReference' ./internal/accel
 go test -race -run 'TestAccelTracingDoesNotChangeVerdicts|TestAccelForkStatsUnderParallelWorkers' ./internal/accel
+
+# Guard: the reference differentials must exist and pass — they check
+# fork/reset against test-only references that share none of its code.
+# The memory-rollback and in-place cases are the ones that fail when a
+# reset skips the memory rollback.
+for t in TestForkCloneEquivalenceAllTargets TestForkCloneEquivalencePermanentFaults TestForkCloneEquivalenceMemoryRollback; do
+	go test -run "^${t}\$" -v ./internal/campaign | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: reference differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
+for t in TestAccelCampaignEquivalence TestAccelInPlaceTaskMatchesRebuildReference TestAccelLadderRebuildReferenceIgnoresLadder; do
+	go test -run "^${t}\$" -v ./internal/accel | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: reference differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
 
 echo "== race: checkpoint-ladder dispatch equivalence =="
 # The ladder's rung-sorted dispatch and per-rung scratch systems are the
@@ -182,6 +207,7 @@ go test -run '^TestSweepProfilingDifferentialAndTimeline$' -v ./internal/sweep |
 
 echo "== bench guard: forking ablations + tracing overhead =="
 go test -run '^$' -bench 'BenchmarkAblation_CheckpointForking|BenchmarkAccelCampaign|BenchmarkTracingOverhead' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkAccelRebuildReference$' -benchtime 1x ./internal/accel
 go test -run '^$' -bench 'BenchmarkTracerEmit' -benchtime 1000x ./internal/obs
 
 echo "== bench guard: ladder replay reduction =="
