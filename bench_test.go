@@ -342,59 +342,6 @@ func BenchmarkAccelCampaign(b *testing.B) {
 	b.Run("parallel-reuse", func(b *testing.B) { run(b, 0) })
 }
 
-// BenchmarkCampaignLadder measures checkpoint-ladder dispatch on a
-// long-window workload: the same campaign with a single window-start
-// checkpoint versus an 8-rung ladder. Verdicts are bit-identical (the
-// ladder equivalence suite proves it); what changes is how many
-// pre-injection cycles each faulty run replays before its first flip.
-// The benchmark reports that counter per variant and fails outright if
-// the ladder does not cut it at least in half — the guard the verify
-// script runs in CI.
-func BenchmarkCampaignLadder(b *testing.B) {
-	spec, err := workloads.ByName("sha")
-	if err != nil {
-		b.Fatal(err)
-	}
-	img, err := program.Compile(isa.RV64L{}, spec.Build())
-	if err != nil {
-		b.Fatal(err)
-	}
-	run := func(b *testing.B, rungs int) uint64 {
-		b.Helper()
-		var replayed uint64
-		for i := 0; i < b.N; i++ {
-			res, err := campaign.Run(campaign.Config{
-				Image:       img,
-				Preset:      config.TableII(),
-				Target:      "prf",
-				Model:       core.Transient,
-				Faults:      24,
-				Seed:        77,
-				Workers:     4,
-				LadderRungs: rungs,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Counts.Total() != 24 {
-				b.Fatalf("classified %d of 24", res.Counts.Total())
-			}
-			replayed = res.Forking.ReplayedCycles
-		}
-		b.ReportMetric(float64(replayed), "replayed-cycles")
-		return replayed
-	}
-	var flat, laddered uint64
-	b.Run("single-checkpoint", func(b *testing.B) { flat = run(b, 0) })
-	b.Run("ladder-8", func(b *testing.B) { laddered = run(b, 8) })
-	if flat < 2*laddered {
-		b.Fatalf("ladder replayed %d pre-injection cycles vs %d single-checkpoint — want at least a 2x reduction",
-			laddered, flat)
-	}
-	fmt.Printf("\nLadder ablation: pre-injection replay %d cycles (single checkpoint) -> %d cycles (8 rungs), %.1fx reduction\n",
-		flat, laddered, float64(flat)/float64(laddered))
-}
-
 // BenchmarkCampaignAdaptive measures confidence-targeted sizing on a
 // low-AVF cell: the fixed budget is the classical worst-case sample size
 // (Leveugle et al., p = 0.5) for a ±5% margin, the adaptive run targets

@@ -134,7 +134,6 @@ func cmdCampaign(args []string) error {
 	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles bounding faulty runs (0 = default 3)")
 	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
 	workers := fs.Int("workers", 0, "campaign worker count (0 = GOMAXPROCS); results are worker-count invariant")
-	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs inside the injection window (0 = single checkpoint); results are bit-identical for every value")
 	margin := fs.Float64("margin", 0, "adaptive sizing: stop once the Wilson half-width on AVF reaches this margin (0 = fixed -faults budget); results are a bit-identical prefix of the fixed run")
 	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
 	preset := fs.String("preset", "table2", "CPU hardware preset: table2, fast")
@@ -158,7 +157,6 @@ func cmdCampaign(args []string) error {
 		PhysRegs:         *physRegs,
 		Preset:           *preset,
 		Workers:          *workers,
-		LadderRungs:      *ladder,
 		TargetMargin:     *margin,
 		Confidence:       *confidence,
 	}
@@ -205,10 +203,10 @@ func cmdCampaign(args []string) error {
 	if rep.HVFMeasured {
 		fmt.Printf("HVF=%.4f\n", rep.HVF)
 	}
-	fmt.Printf("forking: %d forks, %d reuses, %d pages copied, %d cache sets restored\n",
-		rep.Forks, rep.ForkReuses, rep.PagesCopied, rep.SetsRestored)
+	fmt.Printf("forking: %d forks, %d reuses, %d pages copied, %d cache sets restored, %d converged (%d golden cycles not simulated)\n",
+		rep.Forks, rep.ForkReuses, rep.PagesCopied, rep.SetsRestored, rep.Converged, rep.ConvergedCycles)
 	if rep.Rungs > 0 {
-		fmt.Printf("ladder: %d rungs, %d rung hits, %d cycles replayed pre-injection\n",
+		fmt.Printf("checkpoints: %d in window, %d rung hits, %d cycles replayed pre-injection\n",
 			rep.Rungs, rep.RungHits, rep.ReplayedCycles)
 	}
 	return nil
@@ -298,7 +296,7 @@ func cmdSweep(args []string) error {
 	watchdog := fs.Float64("watchdog", 0, "watchdog factor × golden cycles (0 = engine default)")
 	physRegs := fs.Int("physregs", 0, "override physical register count (0 = 128)")
 	preset := fs.String("preset", "table2", "CPU hardware preset: table2, fast")
-	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs per cell (0 = single checkpoint); results are bit-identical for every value")
+	ladder := fs.Int("ladder", 0, "checkpoint-ladder rungs per accelerator cell (0 = single checkpoint; CPU cells always use delta checkpoints); results are bit-identical for every value")
 	margin := fs.Float64("margin", 0, "adaptive sizing: each cell stops once its Wilson half-width on AVF reaches this margin (0 = fixed -faults per cell); the journal records each cell's achieved N")
 	confidence := fs.Float64("confidence", 0, "confidence z quantile for adaptive stopping and reported margins (0 = 1.96, i.e. 95%)")
 	workers := fs.Int("workers", 0, "global worker budget across cells (0 = GOMAXPROCS); results are worker-count invariant")

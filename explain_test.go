@@ -112,6 +112,10 @@ func TestFacadeCampaignMetrics(t *testing.T) {
 	if s.Forks != rep.Forks || s.ForkReuses != rep.ForkReuses {
 		t.Fatalf("registry forks %d/%d != report %d/%d", s.Forks, s.ForkReuses, rep.Forks, rep.ForkReuses)
 	}
+	if rep.Converged == 0 || s.Converged != rep.Converged || s.ConvCycles != rep.ConvergedCycles {
+		t.Fatalf("registry converged %d runs/%d cycles, report %d/%d (want > 0)",
+			s.Converged, s.ConvCycles, rep.Converged, rep.ConvergedCycles)
+	}
 }
 
 func TestFacadeAccelMetrics(t *testing.T) {

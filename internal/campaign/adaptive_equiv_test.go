@@ -129,8 +129,10 @@ func TestAdaptiveEquivalenceSerialAndParallel(t *testing.T) {
 }
 
 func TestAdaptiveEquivalenceWithLadder(t *testing.T) {
-	// Rung sorting applies inside each batch only, so adaptive + ladder
-	// must still be a digest-identical prefix of the flat fixed run.
+	// Rung sorting applies inside each batch only, so an adaptive campaign
+	// forking from delta checkpoints and stopping converged runs must
+	// still be a digest-identical prefix of the cold-start reference's
+	// fixed run, which forks nothing and runs every fault to the end.
 	img := compileWorkload(t, "riscv", "crc32")
 	fixedCfg := campaign.Config{
 		Image:   img,
@@ -141,20 +143,22 @@ func TestAdaptiveEquivalenceWithLadder(t *testing.T) {
 		Seed:    23,
 		Workers: 2,
 	}
-	fixed, err := campaign.Run(fixedCfg)
+	fixed, err := campaign.ColdStartReference(fixedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	adaCfg := fixedCfg
 	adaCfg.TargetMargin = 0.15
-	adaCfg.LadderRungs = 6
 	adaptive, err := campaign.Run(adaCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := len(adaptive.Records)
 	if got, want := sweep.DigestCPURecords(adaptive.Records), sweep.DigestCPURecords(fixed.Records[:n]); got != want {
-		t.Errorf("adaptive+ladder digest %s != flat fixed prefix %s (n=%d)", got, want, n)
+		t.Errorf("adaptive+checkpoints digest %s != cold-start fixed prefix %s (n=%d)", got, want, n)
+	}
+	if adaptive.Forking.RungHits == 0 {
+		t.Error("no adaptive run forked from a delta checkpoint")
 	}
 }
 

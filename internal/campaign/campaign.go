@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"marvel/internal/classify"
 	"marvel/internal/config"
@@ -104,19 +103,6 @@ type Config struct {
 	// WatchdogFactor bounds faulty runs at factor × golden cycles;
 	// expiry classifies as Crash. Default 3.
 	WatchdogFactor float64
-	// LadderRungs selects the checkpoint ladder: besides the window-start
-	// checkpoint, the golden system is snapshotted at LadderRungs evenly
-	// spaced cycles inside the injection window, masks are dispatched in
-	// rung order, and every faulty run forks from the latest rung at or
-	// before its first transient's injection cycle — replaying only the
-	// residual pre-injection cycles instead of the whole window prefix.
-	// 0 keeps today's single window-start checkpoint. Verdicts (and their
-	// digests) are bit-identical for every value: the golden prefix is
-	// deterministic, so a rung restore reproduces exactly the state a
-	// window-start fork reaches by simulation. Masks carrying a permanent
-	// fault always fork from the window start, where stuck-at bits must be
-	// applied.
-	LadderRungs int
 	// OnVerdict, when non-nil, observes every classified fault as it
 	// completes (sweep progress reporting). It may be called concurrently
 	// from several workers and must be safe for that; the index is the
@@ -131,7 +117,7 @@ type Config struct {
 	// and the early-stop predicate keeps its polling cadence).
 	Trace obs.Tracer
 	// Profile, when non-nil, attributes wall-clock time to campaign
-	// phases (golden and ladder prep, fork, reset, residual replay,
+	// phases (golden prep, fork, reset, residual replay,
 	// faulty execution, classify) on per-worker timeline lanes. Like
 	// Trace, profiling only observes: span boundaries sit outside the
 	// simulated work, so verdicts and their digests are bit-identical
@@ -176,78 +162,43 @@ type Result struct {
 func (r *Result) AVF() float64 { return r.Counts.AVF() }
 
 // Golden bundles everything the fault-free phase of a campaign produces:
-// the reference info, the frozen checkpoint snapshot faulty runs fork
-// from, and the golden commit trace for HVF analysis. A Golden depends
-// only on (Image, Preset) — never on the target, model, seed or fault
-// count — so one Golden can back every campaign of a sweep that shares
-// the workload and hardware configuration. It is immutable after
-// PrepareGolden returns and safe for concurrent use by any number of
-// RunWithGolden calls: forks read the frozen snapshot, they never write
-// it.
+// the reference info, the frozen window-start snapshot faulty runs fork
+// from, the delta checkpoints inside the injection window, and the golden
+// commit trace for HVF analysis. A Golden depends only on (Image, Preset)
+// — never on the target, model, seed or fault count — so one Golden can
+// back every campaign of a sweep that shares the workload and hardware
+// configuration. It is immutable after PrepareGolden returns and safe for
+// concurrent use by any number of RunWithGolden calls: forks read the
+// frozen snapshot and checkpoints, they never write them.
 type Golden struct {
 	Info GoldenInfo
 
-	base          *soc.System
-	trace         *trace.Golden
-	commitsAtCkpt int
-
-	// Checkpoint ladders, built lazily per requested depth and memoized
-	// (one Golden may back concurrent campaigns with different
-	// Config.LadderRungs). Guarded by mu; the rung snapshots themselves
-	// are frozen once built and shared read-only by forks.
-	mu      sync.Mutex
-	ladders map[int][]rung
+	base  *soc.System
+	trace *trace.Golden
+	// rungs are the points faulty runs fork from, in cycle order: rung 0
+	// is the window-start base (nil delta), rungs 1.. are the delta
+	// checkpoints golden prep recorded inside the injection window.
+	rungs []rung
 }
 
-// rung is one checkpoint of the ladder: a frozen system snapshot taken at
-// a cycle inside the injection window, plus the golden commit count at
-// that point (the HVF comparator of a run forked here compares against
-// the golden trace from commits onward).
+// rung is one fork point: a delta checkpoint of the base (nil for the
+// base itself), its cycle, and the golden commit count there (the HVF
+// comparator of a run forked here compares against the golden trace from
+// commits onward).
 type rung struct {
-	sys     *soc.System
+	delta   *soc.Delta
 	cycle   uint64
 	commits int
 }
 
-// ladder returns the checkpoint ladder for k mid-window rungs, building
-// and memoizing it on first use. Rung 0 is always the window-start
-// checkpoint; rungs 1..k are deep clones taken while replaying the
-// fault-free window once, at evenly spaced target cycles. The golden
-// prefix is deterministic, so a run forked from rung r is bit-identical to
-// a window-start fork stepped to the same cycle; rungs record their
-// actual snapshot cycle so selection stays sound even if a step advances
-// the clock by more than one.
-func (g *Golden) ladder(k int) []rung {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if rs, ok := g.ladders[k]; ok {
-		return rs
-	}
-	rungs := []rung{{sys: g.base, cycle: g.base.CPU.Cycle(), commits: g.commitsAtCkpt}}
-	if k > 0 && g.Info.WindowHi > rungs[0].cycle {
-		walker := g.base.Clone()
-		commits := g.commitsAtCkpt
-		walker.CPU.CommitHook = func(cpu.CommitRec) { commits++ }
-		lo, hi := rungs[0].cycle, g.Info.WindowHi
-		for i := 1; i <= k; i++ {
-			target := lo + uint64(i)*(hi-lo)/uint64(k+1)
-			if target <= rungs[len(rungs)-1].cycle {
-				continue
-			}
-			walker.RunUntilCycle(target)
-			if walker.CPU.Done() {
-				break
-			}
-			// Clone nils every hook, so the snapshot carries no walker state.
-			rungs = append(rungs, rung{sys: walker.Clone(), cycle: walker.CPU.Cycle(), commits: commits})
-		}
-	}
-	if g.ladders == nil {
-		g.ladders = map[int][]rung{}
-	}
-	g.ladders[k] = rungs
-	return rungs
-}
+// goldenCheckpoints is how many delta checkpoints golden prep records
+// inside the injection window, checkpointSpacing the initial spacing it
+// tries them at, and goldenBudget the cycle bound of the fault-free run.
+const (
+	goldenCheckpoints = 8
+	checkpointSpacing = 128
+	goldenBudget      = 500_000_000
+)
 
 // rungFor returns the index of the deepest rung usable for mask: the
 // latest rung at or before the mask's first transient injection cycle.
@@ -293,12 +244,9 @@ func PrepareGolden(cfg Config) (*Golden, error) {
 		return nil, fmt.Errorf("campaign: no workload image")
 	}
 	sp := cfg.Profile.NewLane("golden").Begin(obs.PhaseGolden)
-	info, base, goldenTrace, commitsAtCkpt, err := runGolden(cfg)
+	g, err := runGolden(cfg)
 	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	return &Golden{Info: *info, base: base, trace: goldenTrace, commitsAtCkpt: commitsAtCkpt}, nil
+	return g, err
 }
 
 // Run executes a campaign: the golden phase followed by the injection
@@ -323,7 +271,7 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		Faults: cfg.Faults, Workers: cfg.Workers,
 		TargetMargin: cfg.TargetMargin, Confidence: cfg.Confidence,
 		MinFaults: cfg.MinFaults, MaxFaults: cfg.MaxFaults, BatchSize: cfg.BatchSize,
-		LadderRungs: cfg.LadderRungs, OnVerdict: cfg.OnVerdict, Profile: cfg.Profile,
+		OnVerdict: cfg.OnVerdict, Profile: cfg.Profile,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
@@ -339,27 +287,7 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 		return nil, err
 	}
 
-	// The checkpoint ladder: rung 0 is the window-start checkpoint;
-	// mid-window rungs (when enabled and the model has transients) let a
-	// run fork closer to its injection cycle.
-	e := &cpuEngine{cfg: cfg, g: g, masks: masks}
-	e.rungs = []rung{{sys: g.base, cycle: g.base.CPU.Cycle(), commits: g.commitsAtCkpt}}
-	if cfg.LadderRungs > 0 && !cfg.Model.Permanent() {
-		sp := cfg.Profile.NewLane("ladder").Begin(obs.PhaseLadder)
-		e.rungs = g.ladder(cfg.LadderRungs)
-		sp.End()
-	}
-	// Per-rung golden-trace views for the HVF comparator: a run forked at
-	// rung r compares against the golden commits from that rung onward and
-	// reports divergence indices offset back to the window-start view, so
-	// DivergeCommit is identical whichever rung served the run.
-	e.subTraces = make([]*trace.Golden, len(e.rungs))
-	if cfg.HVF {
-		for ri, r := range e.rungs {
-			e.subTraces[ri] = g.trace.Slice(r.commits)
-		}
-	}
-
+	e := newEngine(cfg, g, masks)
 	verdicts, sum, err := dispatch.Run(plan, e)
 	if err != nil {
 		// A run that cannot even resolve its injection target is an
@@ -388,7 +316,35 @@ func RunWithGolden(cfg Config, g *Golden) (*Result, error) {
 	}
 	res.Margin = core.MarginFor(bits, len(verdicts), plan.Z)
 	res.Forking.Rungs = len(e.rungs) - 1
+	for _, n := range e.skipped[:len(verdicts)] {
+		if n > 0 {
+			res.Forking.Converged++
+			res.Forking.ConvergedCycles += n
+		}
+	}
 	return res, nil
+}
+
+// newEngine prepares the dispatcher adapter for running masks against g.
+func newEngine(cfg Config, g *Golden, masks []core.Mask) *cpuEngine {
+	// Transient masks fork from the latest checkpoint at or before their
+	// first injection; masks of a permanent model all start at the window
+	// start, where stuck-at bits must be applied.
+	e := &cpuEngine{cfg: cfg, g: g, masks: masks, rungs: g.rungs, skipped: make([]uint64, len(masks))}
+	if cfg.Model.Permanent() {
+		e.rungs = g.rungs[:1]
+	}
+	// Per-rung golden-trace views for the HVF comparator: a run forked at
+	// rung r compares against the golden commits from that rung onward and
+	// reports divergence indices offset back to the window-start view, so
+	// DivergeCommit is identical whichever rung served the run.
+	e.subTraces = make([]*trace.Golden, len(e.rungs))
+	if cfg.HVF {
+		for ri, r := range e.rungs {
+			e.subTraces[ri] = g.trace.Slice(r.commits)
+		}
+	}
+	return e
 }
 
 // cpuEngine adapts one prepared CPU campaign to the shared dispatcher.
@@ -398,11 +354,15 @@ type cpuEngine struct {
 	masks     []core.Mask
 	rungs     []rung
 	subTraces []*trace.Golden
+	// skipped[i] is how many golden cycles fault i did not simulate
+	// because its run converged (0: it ran to the end). Each index is
+	// written by the one worker that ran it.
+	skipped []uint64
 }
 
 func (e *cpuEngine) Rung(i int) int { return rungFor(e.rungs, e.masks[i]) }
 
-func (e *cpuEngine) Fork(r int) *soc.System { return e.rungs[r].sys.Fork() }
+func (e *cpuEngine) Fork(r int) *soc.System { return e.g.base.ForkAt(e.rungs[r].delta) }
 
 func (e *cpuEngine) Replayed(i, r int) uint64 {
 	if first, ok := firstTransientCycle(e.masks[i]); ok && first > e.rungs[r].cycle {
@@ -411,38 +371,61 @@ func (e *cpuEngine) Replayed(i, r int) uint64 {
 	return 0
 }
 
+// Run runs fault i on s, probing for convergence at every later rung.
 func (e *cpuEngine) Run(s *soc.System, i, r int, lane *obs.Lane) (classify.Verdict, error) {
-	return runOne(e.cfg, s, &e.g.Info, e.subTraces[r], e.rungs[r].commits-e.g.commitsAtCkpt, e.rungs[0].cycle, e.masks[i], lane)
+	v, skipped, err := runOne(e.cfg, s, &e.g.Info, e.subTraces[r], e.rungs[r].commits-e.g.rungs[0].commits, e.rungs[0].cycle, e.masks[i], e.rungs[r+1:], lane)
+	e.skipped[i] = skipped
+	return v, err
 }
 
-// runGolden performs the fault-free run, returning the reference info, the
-// checkpoint snapshot faulty runs fork from, the golden commit trace, and
-// the commit index at the checkpoint.
-func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, int, error) {
-	sys, err := soc.New(cfg.Image, cfg.Preset.CPU, cfg.Preset.Hier, cfg.Preset.MemLatency)
+// runGolden performs the fault-free run. It simulates the program up to
+// its first checkpoint directive and snapshots the window-start base
+// there (a program without the directive gets a cycle-0 base and a
+// window spanning the whole run). It then finishes the run on a fork of
+// the base, which journals every page and cache set the run changes, and
+// captures delta checkpoints inside the injection window on the way.
+func runGolden(cfg Config) (*Golden, error) {
+	newSystem := func() (*soc.System, error) {
+		return soc.New(cfg.Image, cfg.Preset.CPU, cfg.Preset.Hier, cfg.Preset.MemLatency)
+	}
+	sys, err := newSystem()
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, err
 	}
 	rec := trace.NewRecorder()
-	hook := rec.Hook()
-	sys.CPU.CommitHook = hook
-
-	base := sys.Clone() // fallback snapshot at cycle 0
-	commitsAtCkpt := 0
-	sys.CheckpointHook = func(cycle uint64) {
+	sys.CPU.CommitHook = rec.Hook()
+	var base *soc.System
+	sys.CheckpointHook = func(uint64) {
+		// The snapshot is taken mid-cycle, before the directive commits;
+		// the fork below replays the rest of this cycle, so recording
+		// stops here.
 		base = sys.Clone()
-		commitsAtCkpt = rec.Len()
+		sys.CPU.CommitHook = nil
+	}
+	for base == nil && !sys.CPU.Done() && sys.CPU.Cycle() < goldenBudget {
+		sys.Step()
+	}
+	if base == nil {
+		if base, err = newSystem(); err != nil {
+			return nil, err
+		}
+		rec = trace.NewRecorder()
 	}
 
-	res := sys.Run(500_000_000)
+	g := &Golden{base: base}
+	g.rungs = []rung{{cycle: base.CPU.Cycle(), commits: rec.Len()}}
+	walker := base.Fork()
+	walker.CPU.CommitHook = rec.Hook()
+	g.rungs = append(g.rungs, walkCheckpoints(walker, rec)...)
+	res := walker.Run(goldenBudget)
 	if res.Status != soc.RunCompleted {
-		return nil, nil, nil, 0, fmt.Errorf("campaign: golden run %v (trap %v)", res.Status, res.Trap)
+		return nil, fmt.Errorf("campaign: golden run %v (trap %v)", res.Status, res.Trap)
 	}
-	lo, hi, ok := sys.HasWindow()
+	lo, hi, ok := walker.HasWindow()
 	if !ok {
 		lo, hi = 0, res.Cycles
 	}
-	g := &GoldenInfo{
+	g.Info = GoldenInfo{
 		Cycles:   res.Cycles,
 		Insts:    res.Stats.Insts,
 		WindowLo: lo,
@@ -450,7 +433,52 @@ func runGolden(cfg Config) (*GoldenInfo, *soc.System, *trace.Golden, int, error)
 		Output:   res.Output,
 		Stats:    res.Stats,
 	}
-	return g, base, rec.Golden(), commitsAtCkpt, nil
+	g.trace = rec.Golden()
+	return g, nil
+}
+
+// walkCheckpoints steps the golden walker through the injection window
+// and returns up to goldenCheckpoints delta checkpoints spread evenly
+// over it. The window's end is only known once the switch directive
+// fires, so candidates are taken every spacing cycles from the window
+// start; whenever twice the target count have accumulated, every other
+// one is dropped and the spacing doubles. Memory stays bounded by
+// 2×goldenCheckpoints deltas whatever the window length.
+func walkCheckpoints(walker *soc.System, rec *trace.Recorder) []rung {
+	lo := walker.CPU.Cycle()
+	spacing := uint64(checkpointSpacing)
+	var cands []rung
+	for {
+		next := lo + uint64(len(cands)+1)*spacing
+		if next >= goldenBudget {
+			break
+		}
+		walker.RunUntilCycle(next)
+		if _, _, closed := walker.HasWindow(); closed || walker.CPU.Done() {
+			break
+		}
+		var prev *soc.Delta
+		if len(cands) > 0 {
+			prev = cands[len(cands)-1].delta
+		}
+		cands = append(cands, rung{delta: walker.CaptureDelta(prev), cycle: walker.CPU.Cycle(), commits: rec.Len()})
+		if len(cands) == 2*goldenCheckpoints {
+			for i := range goldenCheckpoints {
+				cands[i] = cands[2*i+1]
+			}
+			clear(cands[goldenCheckpoints:])
+			cands = cands[:goldenCheckpoints]
+			spacing *= 2
+		}
+	}
+	if len(cands) <= goldenCheckpoints {
+		return cands
+	}
+	picked := make([]rung, goldenCheckpoints)
+	for j := range picked {
+		picked[j] = cands[(j+1)*(len(cands)+1)/(goldenCheckpoints+1)-1]
+	}
+	return picked
 }
 
 // buildMasks generates the campaign's fault-mask sample from cfg alone
@@ -519,27 +547,37 @@ func multiTargetMasks(cfg Config, base *soc.System, golden *GoldenInfo) ([]core.
 
 // runOne drives one faulty simulation on s — a system positioned at or
 // before its first injection cycle on the golden path (a fresh or reset
-// fork of any ladder rung; the test-only references also pass a deep
-// clone or a cold-started system) — applies the mask, runs to completion
-// (or early termination) and classifies. goldenTrace is the golden commit
-// trace from s's position onward and commitOffset that position's commit
-// distance from the window-start checkpoint, so HVF
-// divergence indices are reported in window-start coordinates regardless
-// of which rung served the run; armCycle is the window-start checkpoint
-// cycle, stamped on arming events so rung restores narrate identically.
+// fork of any rung; the test-only references also pass a deep clone or a
+// cold-started system) — applies the mask, runs to completion (or early
+// termination, or convergence) and classifies. goldenTrace is the golden
+// commit trace from s's position onward and commitOffset that position's
+// commit distance from the window-start checkpoint, so HVF divergence
+// indices are reported in window-start coordinates regardless of which
+// rung served the run; armCycle is the window-start checkpoint cycle,
+// stamped on arming events so rung restores narrate identically.
+//
+// probes are the golden delta checkpoints after s's position. Once every
+// transient is applied, the run is compared with each checkpoint it
+// reaches; if its whole state equals the golden state there, its future
+// is the golden future (the simulator is deterministic), so runOne stops
+// and returns exactly the verdict the full run would have: Masked at the
+// golden cycle count, with the HVF view the comparator holds at that
+// point. Stuck bits and armed watches are compared state, so permanent
+// faults and watched runs never converge. skipped reports the golden
+// cycles a converged run did not simulate (0 otherwise).
 //
 // When cfg.Trace is armed, runOne additionally narrates the fault's
 // lifecycle: arming, application, first corrupted read / overwrite death
 // (by arming the §IV-B watch purely as an observer, even when early
 // termination is off — all watch implementations are side-effect-free),
 // squashes and store-forwards (via the CPU's tracer), first commit-stream
-// divergence (by polling the HVF comparator inside the commit hook), the
-// watchdog, and the verdict. None of this changes behavior: the early-stop
-// predicate keeps its value and polling cadence, so traced runs classify
-// bit-identically to untraced ones.
+// divergence (by polling the HVF comparator inside the commit hook),
+// convergence, the watchdog, and the verdict. None of this changes the
+// verdict: the early-stop predicate keeps its value and polling cadence,
+// so traced runs classify bit-identically to untraced ones.
 // lane, when non-nil, receives replay/faulty/classify spans for
 // wall-clock attribution; a nil lane (profiling off) costs nothing.
-func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Golden, commitOffset int, armCycle uint64, mask core.Mask, lane *obs.Lane) (classify.Verdict, error) {
+func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Golden, commitOffset int, armCycle uint64, mask core.Mask, probes []rung, lane *obs.Lane) (v classify.Verdict, skipped uint64, err error) {
 	tr := cfg.Trace
 	targets := map[string]core.Target{}
 	targetFor := func(name string) (core.Target, error) {
@@ -559,7 +597,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 	}
 	tgt, err := targetFor(primary)
 	if err != nil {
-		return classify.Verdict{}, err
+		return classify.Verdict{}, 0, err
 	}
 
 	var comp *trace.Comparator
@@ -592,7 +630,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 	if tr != nil {
 		// Arming is narrated at the window-start checkpoint cycle — the
 		// campaign's logical arming point — so a run restored from a deeper
-		// ladder rung emits the same event stream as a window-start fork.
+		// delta checkpoint emits the same event stream as a window-start fork.
 		for _, f := range mask.Faults {
 			detail := f.Model.String()
 			if !f.Model.Permanent() {
@@ -609,7 +647,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 		if f.Model.Permanent() {
 			ft, err := targetFor(f.Target)
 			if err != nil {
-				return classify.Verdict{}, err
+				return classify.Verdict{}, 0, err
 			}
 			ft.Stick(f.Bit, stuckVal(f.Model))
 			if tr != nil {
@@ -632,7 +670,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 		}
 		ft, err := targetFor(f.Target)
 		if err != nil {
-			return classify.Verdict{}, err
+			return classify.Verdict{}, 0, err
 		}
 		bit := f.Bit
 		if cfg.Domain == core.DomainValidOnly && !ft.Live(bit) {
@@ -664,7 +702,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 				tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindInvalidMasked, Target: primary, Bit: appliedBit, Detail: "fault landed in a dead or invalid entry"})
 				tr.Emit(obs.Event{Cycle: s.CPU.Cycle(), Kind: obs.KindVerdict, Target: primary, Detail: classify.Masked.String()})
 			}
-			return classify.EarlyMasked(classify.MaskedInvalidEntry, s.CPU.Cycle()), nil
+			return classify.EarlyMasked(classify.MaskedInvalidEntry, s.CPU.Cycle()), 0, nil
 		}
 		tgt.Watch(appliedBit)
 	} else if traceWatch {
@@ -705,21 +743,39 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 			return false
 		}
 	}
+	deltas := make([]*soc.Delta, len(probes))
+	for i, p := range probes {
+		deltas[i] = p.delta
+	}
 	sp := lane.BeginID(obs.PhaseFaulty, int64(mask.ID))
-	res, stopped := s.RunChecked(budget, every, stop)
+	res, stopped, conv := s.RunChecked(budget, every, stop, deltas)
 	sp.End()
 	if stopped {
 		if tr != nil {
 			tr.Emit(obs.Event{Cycle: res.Cycles, Kind: obs.KindVerdict, Target: primary, Detail: classify.Masked.String()})
 		}
-		return classify.EarlyMasked(classify.MaskedDeadFault, res.Cycles), nil
+		return classify.EarlyMasked(classify.MaskedDeadFault, res.Cycles), 0, nil
+	}
+	if conv != nil {
+		skipped = golden.Cycles - res.Cycles
+		if tr != nil {
+			tr.Emit(obs.Event{Cycle: res.Cycles, Kind: obs.KindConverged, Target: primary, N: skipped,
+				Detail: fmt.Sprintf("state equals golden checkpoint at cycle %d; %d golden cycles not simulated", res.Cycles, skipped)})
+		}
+		// The rest of the run is the golden run's: it completes at the
+		// golden cycle count with the golden output, and the commit stream
+		// from here on matches the golden trace.
+		res = soc.RunResult{Status: soc.RunCompleted, Cycles: golden.Cycles, Output: golden.Output}
 	}
 
 	csp := lane.BeginID(obs.PhaseClassify, int64(mask.ID))
 	defer csp.End()
-	v := verdictFromRun(golden.Output, golden.Cycles, res)
+	v = verdictFromRun(golden.Output, golden.Cycles, res)
 	if comp != nil {
-		v.HVFCorrupt = comp.Finalize()
+		if conv == nil {
+			comp.Finalize()
+		}
+		v.HVFCorrupt = comp.Corrupted()
 		// Report the divergence index in window-start coordinates: the
 		// golden prefix between the window start and the fork point is
 		// commit-identical by determinism, so offsetting recovers exactly
@@ -744,7 +800,7 @@ func runOne(cfg Config, s *soc.System, golden *GoldenInfo, goldenTrace *trace.Go
 		}
 		tr.Emit(obs.Event{Cycle: res.Cycles, Kind: obs.KindVerdict, Target: primary, Detail: v.Outcome.String()})
 	}
-	return v, nil
+	return v, skipped, nil
 }
 
 // verdictFromRun adapts a simulator run result into the classification

@@ -58,7 +58,9 @@ func ExplainWithGolden(cfg Config, g *Golden, index int) (*Explanation, error) {
 	// original campaign ran AVF-only; the HVF view is an overlay on the
 	// same run and does not perturb the AVF verdict.
 	cfg.HVF = true
-	v, err := runOne(cfg, g.base.Fork(), &g.Info, g.trace.Slice(g.commitsAtCkpt), 0, g.base.CPU.Cycle(), mask, nil)
+	e := newEngine(cfg, g, masks)
+	r := e.Rung(index)
+	v, err := e.Run(e.Fork(r), index, r, nil)
 	if err != nil {
 		return nil, err
 	}

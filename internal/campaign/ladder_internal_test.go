@@ -1,9 +1,10 @@
 package campaign
 
-// White-box tests for the checkpoint ladder: rung placement inside the
-// injection window, rung selection per mask, and a run forked from a
-// mid-window rung applying a rung-straddling multi-fault mask in cycle
-// order, bit-identically to a window-start fork.
+// White-box tests for the checkpoint ladder: delta-checkpoint placement
+// inside the injection window and their agreement with the golden run,
+// rung selection per mask, and a run forked from a mid-window checkpoint
+// applying a rung-straddling multi-fault mask in cycle order,
+// bit-identically to a window-start fork.
 
 import (
 	"testing"
@@ -48,18 +49,14 @@ func prepareTestGolden(t *testing.T) (*Golden, Config) {
 
 func TestLadderRungPlacement(t *testing.T) {
 	g, _ := prepareTestGolden(t)
-	const k = 4
-	rungs := g.ladder(k)
-	if len(rungs) < 2 {
-		t.Fatalf("ladder(%d) built only %d rungs over window [%d, %d)",
-			k, len(rungs), g.Info.WindowLo, g.Info.WindowHi)
+	rungs := g.rungs
+	if len(rungs) != goldenCheckpoints+1 {
+		t.Fatalf("golden prep recorded %d checkpoints over window [%d, %d), want %d",
+			len(rungs)-1, g.Info.WindowLo, g.Info.WindowHi, goldenCheckpoints)
 	}
-	ckpt := g.base.CPU.Cycle()
-	if rungs[0].cycle != ckpt || rungs[0].sys != g.base {
-		t.Fatalf("rung 0 must be the window-start checkpoint: cycle %d vs %d", rungs[0].cycle, ckpt)
-	}
-	if rungs[0].commits != g.commitsAtCkpt {
-		t.Fatalf("rung 0 commits %d != checkpoint commits %d", rungs[0].commits, g.commitsAtCkpt)
+	if rungs[0].delta != nil || rungs[0].cycle != g.base.CPU.Cycle() || rungs[0].cycle != g.Info.WindowLo {
+		t.Fatalf("rung 0 must be the window-start base: cycle %d, base at %d, window from %d",
+			rungs[0].cycle, g.base.CPU.Cycle(), g.Info.WindowLo)
 	}
 	for i := 1; i < len(rungs); i++ {
 		if rungs[i].cycle <= rungs[i-1].cycle {
@@ -73,15 +70,35 @@ func TestLadderRungPlacement(t *testing.T) {
 		if rungs[i].cycle >= g.Info.WindowHi {
 			t.Errorf("rung %d at cycle %d outside window (hi %d)", i, rungs[i].cycle, g.Info.WindowHi)
 		}
-		if rungs[i].sys.CPU.Cycle() != rungs[i].cycle {
-			t.Errorf("rung %d records cycle %d but its snapshot sits at %d",
-				i, rungs[i].cycle, rungs[i].sys.CPU.Cycle())
+		if rungs[i].delta.Cycle() != rungs[i].cycle {
+			t.Errorf("rung %d records cycle %d but its checkpoint sits at %d",
+				i, rungs[i].cycle, rungs[i].delta.Cycle())
 		}
 	}
-	// Memoized: the same depth returns the identical ladder.
-	again := g.ladder(k)
-	if &again[0] != &rungs[0] {
-		t.Error("ladder(k) rebuilt instead of returning the memoized rungs")
+	// Every checkpoint is exactly the state the golden run reaches: a
+	// window-start fork stepped there matches it, a fork made at it
+	// matches it, and a fork made at one checkpoint and stepped to the
+	// next matches the next.
+	walker := g.base.Fork()
+	for i, r := range rungs[1:] {
+		walker.RunUntilCycle(r.cycle)
+		if !walker.MatchesDelta(r.delta) {
+			t.Errorf("window-start fork at cycle %d does not match checkpoint %d", r.cycle, i+1)
+		}
+		at := g.base.ForkAt(r.delta)
+		if !at.MatchesDelta(r.delta) {
+			t.Errorf("fork made at checkpoint %d does not match it", i+1)
+		}
+		if i+2 < len(rungs) {
+			next := rungs[i+2]
+			at.RunUntilCycle(next.cycle)
+			if !at.MatchesDelta(next.delta) {
+				t.Errorf("fork made at checkpoint %d and stepped to %d does not match checkpoint %d", i+1, next.cycle, i+2)
+			}
+			if at.MatchesDelta(r.delta) {
+				t.Errorf("checkpoint %d matches a system %d cycles past it", i+1, next.cycle-r.cycle)
+			}
+		}
 	}
 }
 
@@ -117,7 +134,7 @@ func TestLadderStraddlingMaskAppliesInCycleOrder(t *testing.T) {
 	// flips, keeps running across later rungs' cycles, and flips again.
 	// Verdict and flip narration must match the window-start fork exactly.
 	g, cfg := prepareTestGolden(t)
-	rungs := g.ladder(4)
+	rungs := g.rungs
 	if len(rungs) < 3 {
 		t.Skipf("window too short for a straddle: %d rungs", len(rungs))
 	}
@@ -135,7 +152,7 @@ func TestLadderStraddlingMaskAppliesInCycleOrder(t *testing.T) {
 	flatSink := &eventSliceSink{}
 	flatCfg := cfg
 	flatCfg.Trace = flatSink
-	vFlat, err := runOne(flatCfg, rungs[0].sys.Fork(), &g.Info, nil, 0, armCycle, mask, nil)
+	vFlat, _, err := runOne(flatCfg, g.base.Fork(), &g.Info, nil, 0, armCycle, mask, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +160,7 @@ func TestLadderStraddlingMaskAppliesInCycleOrder(t *testing.T) {
 	ladSink := &eventSliceSink{}
 	ladCfg := cfg
 	ladCfg.Trace = ladSink
-	vLad, err := runOne(ladCfg, rungs[r].sys.Fork(), &g.Info, nil, 0, armCycle, mask, nil)
+	vLad, _, err := runOne(ladCfg, g.base.ForkAt(rungs[r].delta), &g.Info, nil, 0, armCycle, mask, rungs[r+1:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,9 @@ import (
 // TestProfilingDoesNotChangeVerdicts is the differential guard for the
 // span layer: a campaign with a profiler attached must classify every
 // fault bit-identically to the unprofiled campaign — span boundaries
-// sit outside the simulated work. Covered serial and parallel, flat and
-// laddered, with the optimization stack on.
+// sit outside the simulated work. Covered serial and parallel, with and
+// without the HVF comparator, with the optimization stack on; every
+// variant forks from delta checkpoints and stops converged runs.
 func TestProfilingDoesNotChangeVerdicts(t *testing.T) {
 	img := compileWorkload(t, "riscv", "crc32")
 	base := campaign.Config{
@@ -31,7 +32,7 @@ func TestProfilingDoesNotChangeVerdicts(t *testing.T) {
 		mod  func(*campaign.Config)
 	}{
 		{"base", func(*campaign.Config) {}},
-		{"ladder", func(c *campaign.Config) { c.LadderRungs = 4 }},
+		{"hvf", func(c *campaign.Config) { c.HVF = true }},
 		{"validonly+earlyterm+hvf", func(c *campaign.Config) {
 			c.Domain = core.DomainValidOnly
 			c.EarlyTermination = true
@@ -69,7 +70,7 @@ func TestProfilingDoesNotChangeVerdicts(t *testing.T) {
 
 // TestProfiledAttributionCoversWallClock pins the attribution accuracy
 // contract: on a single-worker campaign with a prepared golden, the
-// phase self-times (fork/reset/replay/faulty/classify + ladder) must
+// phase self-times (golden/fork/reset/replay/faulty/classify) must
 // account for nearly all of the engine's wall-clock — the spans bracket
 // the expensive stages, so only mask generation and channel plumbing
 // fall outside them.
@@ -102,7 +103,7 @@ func TestProfiledAttributionCoversWallClock(t *testing.T) {
 		t.Errorf("phase self-times cover only %.1f%% of wall-clock, want >= 95%%", 100*ratio)
 	}
 	// Self-times are disjoint on a single worker lane (plus the golden
-	// and ladder prep lanes, which precede the worker), so the sum can
+	// prep lane, which precedes the worker), so the sum can
 	// never meaningfully exceed the wall.
 	if ratio > 1.02 {
 		t.Errorf("phase self-times cover %.1f%% of wall-clock; spans overlap", 100*ratio)

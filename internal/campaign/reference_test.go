@@ -8,8 +8,10 @@ import (
 )
 
 // ColdStartReference is the test-only oracle the dispatched campaign is
-// checked against. It runs cfg's fixed mask budget serially and shares no
-// Fork, Reset, ladder or worker-pool code with RunWithGolden:
+// checked against. It runs cfg's fixed mask budget serially, runs every
+// fault to the end (it passes runOne no checkpoints, so nothing
+// converges), and shares no Fork, Reset, delta-checkpoint, convergence or
+// worker-pool code with RunWithGolden:
 //
 //   - a purely transient mask runs on a freshly built system (soc.New)
 //     simulated from cycle 0, compared against the full golden commit
@@ -20,7 +22,7 @@ import (
 //     hold from exactly there; a cold start could only stick them at the
 //     end of that cycle, which changes some IQ verdicts.
 //
-// Workers, LadderRungs and the adaptive knobs are ignored; Forking.Forks
+// Workers and the adaptive knobs are ignored; Forking.Forks
 // counts the systems built.
 func ColdStartReference(cfg Config) (*Result, error) {
 	g, err := PrepareGolden(cfg)
@@ -45,19 +47,19 @@ func ColdStartReference(cfg Config) (*Result, error) {
 	if cfg.Confidence > 0 {
 		res.Z = cfg.Confidence
 	}
-	armCycle := g.base.CPU.Cycle()
+	armCycle, commitsAtCkpt := g.rungs[0].cycle, g.rungs[0].commits
 	for i, m := range masks {
 		var s *soc.System
-		goldenTrace, commitOffset := g.trace.Slice(g.commitsAtCkpt), 0
+		goldenTrace, commitOffset := g.trace.Slice(commitsAtCkpt), 0
 		if _, transient := firstTransientCycle(m); transient {
 			if s, err = soc.New(cfg.Image, cfg.Preset.CPU, cfg.Preset.Hier, cfg.Preset.MemLatency); err != nil {
 				return nil, err
 			}
-			goldenTrace, commitOffset = g.trace, -g.commitsAtCkpt
+			goldenTrace, commitOffset = g.trace, -commitsAtCkpt
 		} else {
 			s = g.base.Clone()
 		}
-		v, err := runOne(cfg, s, &g.Info, goldenTrace, commitOffset, armCycle, m, nil)
+		v, _, err := runOne(cfg, s, &g.Info, goldenTrace, commitOffset, armCycle, m, nil, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -16,6 +16,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"marvel/internal/isa"
 	"marvel/internal/mem"
@@ -376,4 +377,33 @@ func (c *CPU) Clone(hier *mem.Hierarchy) *CPU {
 	n.CommitHook = nil
 	n.Trace = nil
 	return &n
+}
+
+// SameState reports whether c and g hold the same core state, so that
+// stepping them over equal memory hierarchies yields identical futures —
+// the convergence test of checkpointed faulty runs. Not compared: the
+// hooks and tracer (observers), the hierarchy attachment (the system
+// compares the hierarchies), Stats other than Uops (counters nothing
+// reads back; Uops is kept so a commit-trace comparator sits at the same
+// position on both), and the scratch buffers dec, mbuf and fstore beyond
+// fbuf (rewritten before every read).
+func (c *CPU) SameState(g *CPU) bool {
+	return c.cycle == g.cycle && c.seq == g.seq && c.Stats.Uops == g.Stats.Uops &&
+		c.cfg == g.cfg && c.arch == g.arch && c.traits == g.traits &&
+		c.fetchPC == g.fetchPC && c.fetchBusyUntil == g.fetchBusyUntil && c.fetchFault == g.fetchFault &&
+		c.fbufPC == g.fbufPC && slices.Equal(c.fbuf, g.fbuf) && slices.Equal(c.uq, g.uq) &&
+		c.robHead == g.robHead && c.robCount == g.robCount && slices.Equal(c.rob, g.rob) &&
+		slices.Equal(c.iq, g.iq) && slices.Equal(c.events, g.events) &&
+		slices.Equal(c.rmap, g.rmap) && slices.Equal(c.freeList, g.freeList) &&
+		slices.Equal(c.bimodal, g.bimodal) &&
+		c.halted == g.halted && sameTrap(c.trap, g.trap) && c.waiting == g.waiting &&
+		c.irq == g.irq && c.lastCommitCycle == g.lastCommitCycle &&
+		c.prf.SameState(g.prf) && c.lq.SameState(g.lq) && c.sq.SameState(g.sq)
+}
+
+func sameTrap(a, b *Trap) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return *a == *b
 }

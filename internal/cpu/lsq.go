@@ -1,6 +1,10 @@
 package cpu
 
-import "marvel/internal/core"
+import (
+	"slices"
+
+	"marvel/internal/core"
+)
 
 // Injection layout of one load/store queue entry, following the paper's
 // description of queue state (address, data, status): bits 0..63 hold the
@@ -126,6 +130,14 @@ func (q *LSQ) Clone() *LSQ {
 	n.entries = append([]lsqEntry(nil), q.entries...)
 	n.stuck = append([]lsqStuckBit(nil), q.stuck...)
 	return &n
+}
+
+// SameState reports whether q and g hold the same entries, ring position,
+// stuck bits and watch.
+func (q *LSQ) SameState(g *LSQ) bool {
+	return q.name == g.name && q.head == g.head && q.count == g.count && slices.Equal(q.entries, g.entries) &&
+		slices.Equal(q.stuck, g.stuck) && q.watchArmed == g.watchArmed && q.watchSlot == g.watchSlot &&
+		q.watchState == g.watchState && q.watchLate == g.watchLate
 }
 
 // ResetTo restores q to g's state without allocating, reusing q's backing

@@ -1,6 +1,10 @@
 package cpu
 
-import "marvel/internal/core"
+import (
+	"slices"
+
+	"marvel/internal/core"
+)
 
 // PReg is a physical register index.
 type PReg uint16
@@ -105,6 +109,14 @@ func (p *PhysRegFile) ResetTo(g *PhysRegFile) {
 	p.watchArmed = g.watchArmed
 	p.watchReg = g.watchReg
 	p.watchState = g.watchState
+}
+
+// SameState reports whether p and g hold the same values, ready and free
+// bits, stuck bits and watch.
+func (p *PhysRegFile) SameState(g *PhysRegFile) bool {
+	return slices.Equal(p.vals, g.vals) && slices.Equal(p.ready, g.ready) && slices.Equal(p.free, g.free) &&
+		slices.Equal(p.stuck, g.stuck) && p.watchArmed == g.watchArmed && p.watchReg == g.watchReg &&
+		p.watchState == g.watchState
 }
 
 // Clone deep-copies the register file.

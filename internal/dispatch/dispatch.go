@@ -52,8 +52,9 @@ type Engine[S Scratch] interface {
 	Replayed(i, rung int) uint64
 }
 
-// Options are the sample-sizing and scheduling knobs both engines expose;
-// campaign.Config documents what each one means. LadderRungs is only
+// Options are the sample-sizing and scheduling knobs the engines expose;
+// campaign.Config documents what each one means. LadderRungs, the
+// accelerator engine's ladder depth (accel.CampaignConfig), is only
 // validated here: the engine builds the ladder.
 type Options struct {
 	Faults, Workers                 int
@@ -131,6 +132,12 @@ type ForkStats struct {
 	// fork point and its first transient injection — the quantity the
 	// ladder exists to shrink.
 	ReplayedCycles uint64
+	// Converged counts faulty runs that ended early because their whole
+	// state equalled a golden checkpoint, and ConvergedCycles the golden
+	// cycles those runs did not simulate. The engine fills both in (the
+	// accelerator engine has no convergence checks and reports 0).
+	Converged       uint64
+	ConvergedCycles uint64
 }
 
 func (f *ForkStats) add(o ForkStats) {
@@ -158,7 +165,7 @@ type Summary struct {
 	// quantile Z, the quantity adaptive sizing drives to TargetMargin.
 	AchievedMargin float64
 	// Forking describes how faulty runs were forked; the engine fills in
-	// Rungs.
+	// Rungs, Converged and ConvergedCycles.
 	Forking ForkStats
 }
 

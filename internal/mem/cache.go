@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 
 	"marvel/internal/core"
 )
@@ -78,8 +79,12 @@ type Cache struct {
 
 	// Fork support: golden points at the frozen checkpoint cache this one
 	// was forked from; setDirty/dirtySets journal which sets have diverged
-	// so ResetToGolden restores only those (O(touched sets)).
+	// so ResetToGolden restores only those (O(touched sets)). A fork made
+	// by ForkAt restores to golden with the delta checkpoint at laid over
+	// it; atIdx maps a set to its position in at.sets (-1: not in it).
 	golden       *Cache
+	at           *CacheDelta
+	atIdx        []int32
 	setDirty     []bool
 	dirtySets    []int
 	setsRestored uint64
@@ -309,6 +314,7 @@ func (c *Cache) Clone(lower level) *Cache {
 	n.stuck = append([]stuckBit(nil), c.stuck...)
 	n.lower = lower
 	n.golden = nil
+	n.at, n.atIdx = nil, nil
 	n.setDirty = nil
 	n.dirtySets = nil
 	n.setsRestored = 0
@@ -327,6 +333,185 @@ func (c *Cache) Fork(lower level) *Cache {
 	return n
 }
 
+// ForkAt is Fork positioned at a delta checkpoint captured from another
+// fork of c: the fork starts with d's sets, statistics and fault state
+// laid over c, and ResetToGolden returns to that view. d is shared
+// read-only; nil is a plain Fork.
+func (c *Cache) ForkAt(lower level, d *CacheDelta) *Cache {
+	n := c.Fork(lower)
+	if d == nil {
+		return n
+	}
+	n.at = d
+	n.atIdx = make([]int32, c.sets)
+	for i := range n.atIdx {
+		n.atIdx[i] = -1
+	}
+	for k, set := range d.sets {
+		n.atIdx[set] = int32(k)
+		n.loadSet(set, d.image(k))
+	}
+	n.resetFaultState()
+	return n
+}
+
+// setImage is one set's contents — tags, valid and dirty bits, data and
+// PLRU state — as slices into a cache or a delta checkpoint.
+type setImage struct {
+	tags         []uint64
+	valid, dirty []bool
+	data         []byte
+	plru         uint16
+}
+
+func (a setImage) equal(b setImage) bool {
+	return a.plru == b.plru && slices.Equal(a.tags, b.tags) && slices.Equal(a.valid, b.valid) &&
+		slices.Equal(a.dirty, b.dirty) && slices.Equal(a.data, b.data)
+}
+
+// liveSet returns c's current contents of set.
+func (c *Cache) liveSet(set int) setImage {
+	lo, hi := set*c.cfg.Ways, (set+1)*c.cfg.Ways
+	lb := c.cfg.LineBytes
+	return setImage{c.tags[lo:hi], c.valid[lo:hi], c.dirty[lo:hi], c.data[lo*lb : hi*lb], c.plru[set]}
+}
+
+// checkpointSet returns set as it stood at the fork point.
+func (c *Cache) checkpointSet(set int) setImage {
+	if c.at != nil {
+		if k := c.atIdx[set]; k >= 0 {
+			return c.at.image(int(k))
+		}
+	}
+	return c.golden.liveSet(set)
+}
+
+func (c *Cache) loadSet(set int, src setImage) {
+	dst := c.liveSet(set)
+	copy(dst.tags, src.tags)
+	copy(dst.valid, src.valid)
+	copy(dst.dirty, src.dirty)
+	copy(dst.data, src.data)
+	c.plru[set] = src.plru
+}
+
+// CacheDelta is the cache half of a delta checkpoint: a copy of every set
+// a forked cache has touched since its golden checkpoint, in set order,
+// plus the cache's statistics and fault state at that point. It is
+// immutable once captured and may back any number of forks.
+type CacheDelta struct {
+	sets []int
+	ways []*setWays
+	plru []uint16
+
+	stats      CacheStats
+	stuck      []stuckBit
+	watchArmed bool
+	watchByte  uint64
+	watchState core.WatchState
+}
+
+// setWays is a copy of one set's ways: tags, valid and dirty bits and
+// data. Successive checkpoints of one walk share the copy of a set whose
+// ways did not change between them (its PLRU state usually does, so that
+// is kept per checkpoint).
+type setWays struct {
+	tags         []uint64
+	valid, dirty []bool
+	data         []byte
+}
+
+// holds reports whether w equals img's ways, whatever their PLRU state.
+func (w *setWays) holds(img setImage) bool {
+	return setImage{w.tags, w.valid, w.dirty, w.data, img.plru}.equal(img)
+}
+
+func (d *CacheDelta) image(k int) setImage {
+	w := d.ways[k]
+	return setImage{w.tags, w.valid, w.dirty, w.data, d.plru[k]}
+}
+
+// changedSets lists, in ascending order, every set of a forked cache that
+// may differ from its golden checkpoint.
+func (c *Cache) changedSets() []int {
+	var ss []int
+	if c.at != nil {
+		ss = append(ss, c.at.sets...)
+	}
+	ss = append(ss, c.dirtySets...)
+	slices.Sort(ss)
+	return slices.Compact(ss)
+}
+
+// CaptureDelta copies every set of the forked cache c that may differ
+// from its golden checkpoint, with c's statistics and fault state. prev,
+// when non-nil, is an earlier capture of the same fork: sets whose ways
+// still equal prev's copy share it instead of being copied again.
+func (c *Cache) CaptureDelta(prev *CacheDelta) CacheDelta {
+	sets := c.changedSets()
+	d := CacheDelta{
+		sets:       sets,
+		ways:       make([]*setWays, len(sets)),
+		plru:       make([]uint16, len(sets)),
+		stats:      c.Stats,
+		stuck:      slices.Clone(c.stuck),
+		watchArmed: c.watchArmed,
+		watchByte:  c.watchByte,
+		watchState: c.watchState,
+	}
+	j := 0 // cursor into prev.sets; both lists are sorted
+	for k, set := range sets {
+		img := c.liveSet(set)
+		d.plru[k] = img.plru
+		if prev != nil {
+			for j < len(prev.sets) && prev.sets[j] < set {
+				j++
+			}
+			if j < len(prev.sets) && prev.sets[j] == set && prev.ways[j].holds(img) {
+				d.ways[k] = prev.ways[j]
+				continue
+			}
+		}
+		d.ways[k] = &setWays{tags: slices.Clone(img.tags), valid: slices.Clone(img.valid),
+			dirty: slices.Clone(img.dirty), data: slices.Clone(img.data)}
+	}
+	return d
+}
+
+// MatchesDelta reports whether the forked cache c holds exactly the state
+// d describes: every set, the stuck bits and the watch. Statistics are not
+// compared — nothing in the simulation reads them. c and d must descend
+// from the same golden cache; only the union of both sides' changed sets
+// is compared, every other set is the golden's on both.
+func (c *Cache) MatchesDelta(d *CacheDelta) bool {
+	if !slices.Equal(c.stuck, d.stuck) || c.watchArmed != d.watchArmed ||
+		c.watchByte != d.watchByte || c.watchState != d.watchState {
+		return false
+	}
+	for k, set := range d.sets {
+		if !c.liveSet(set).equal(d.image(k)) {
+			return false
+		}
+	}
+	differs := func(set int) bool {
+		_, inD := slices.BinarySearch(d.sets, set)
+		return !inD && !c.liveSet(set).equal(c.golden.liveSet(set))
+	}
+	for _, set := range c.dirtySets {
+		if differs(set) {
+			return false
+		}
+	}
+	if c.at != nil {
+		for _, set := range c.at.sets {
+			if differs(set) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // markSet journals a set mutation on a forked cache.
 func (c *Cache) markSet(set int) {
 	if c.setDirty != nil && !c.setDirty[set] {
@@ -335,32 +520,36 @@ func (c *Cache) markSet(set int) {
 	}
 }
 
-// ResetToGolden restores a forked cache to its golden checkpoint state:
-// journaled sets get their tags/valid/dirty/data/PLRU copied back, stats
-// and fault state (stuck bits, watchpoint) are reset wholesale.
+// ResetToGolden restores a forked cache to its fork point (the golden
+// checkpoint, or the delta checkpoint of ForkAt): journaled sets get their
+// tags/valid/dirty/data/PLRU copied back, stats and fault state (stuck
+// bits, watchpoint) are reset wholesale.
 func (c *Cache) ResetToGolden() {
-	g := c.golden
-	if g == nil {
+	if c.golden == nil {
 		return
 	}
-	ways, lb := c.cfg.Ways, c.cfg.LineBytes
 	for _, set := range c.dirtySets {
-		lo := set * ways
-		hi := lo + ways
-		copy(c.tags[lo:hi], g.tags[lo:hi])
-		copy(c.valid[lo:hi], g.valid[lo:hi])
-		copy(c.dirty[lo:hi], g.dirty[lo:hi])
-		copy(c.data[lo*lb:hi*lb], g.data[lo*lb:hi*lb])
-		c.plru[set] = g.plru[set]
+		c.loadSet(set, c.checkpointSet(set))
 		c.setDirty[set] = false
 	}
 	c.setsRestored += uint64(len(c.dirtySets))
 	c.dirtySets = c.dirtySets[:0]
+	c.resetFaultState()
+}
+
+// resetFaultState copies the fork point's statistics, stuck bits and
+// watchpoint into c.
+func (c *Cache) resetFaultState() {
+	if d := c.at; d != nil {
+		c.Stats = d.stats
+		c.stuck = append(c.stuck[:0], d.stuck...)
+		c.watchArmed, c.watchByte, c.watchState = d.watchArmed, d.watchByte, d.watchState
+		return
+	}
+	g := c.golden
 	c.Stats = g.Stats
 	c.stuck = append(c.stuck[:0], g.stuck...)
-	c.watchArmed = g.watchArmed
-	c.watchByte = g.watchByte
-	c.watchState = g.watchState
+	c.watchArmed, c.watchByte, c.watchState = g.watchArmed, g.watchByte, g.watchState
 }
 
 // SetsRestored returns the cumulative number of sets ResetToGolden has

@@ -143,7 +143,45 @@ func (h *Hierarchy) Fork() *Hierarchy {
 	return n
 }
 
-// Reset rolls a forked hierarchy back to its golden checkpoint state.
+// ForkAt is Fork positioned at a delta checkpoint captured from another
+// fork of h; Reset returns the fork to d. nil is a plain Fork.
+func (h *Hierarchy) ForkAt(d *HierDelta) *Hierarchy {
+	if d == nil {
+		return h.Fork()
+	}
+	n := &Hierarchy{Mem: h.Mem.ForkAt(&d.Mem), Bus: h.Bus, MMIOBase: h.MMIOBase}
+	n.L2 = h.L2.ForkAt(memAdapter{n.Mem}, &d.L2)
+	n.L1I = h.L1I.ForkAt(n.L2, &d.L1I)
+	n.L1D = h.L1D.ForkAt(n.L2, &d.L1D)
+	return n
+}
+
+// HierDelta is the memory-system half of a delta checkpoint: the pages
+// and cache sets a fork has changed since its golden checkpoint.
+type HierDelta struct {
+	L1I, L1D, L2 CacheDelta
+	Mem          MemDelta
+}
+
+// CaptureDelta records the forked hierarchy's changes since its golden
+// checkpoint, sharing unchanged page and set copies with prev (an earlier
+// capture of the same fork) when it is non-nil.
+func (h *Hierarchy) CaptureDelta(prev *HierDelta) HierDelta {
+	if prev == nil {
+		prev = &HierDelta{}
+	}
+	return HierDelta{L1I: h.L1I.CaptureDelta(&prev.L1I), L1D: h.L1D.CaptureDelta(&prev.L1D),
+		L2: h.L2.CaptureDelta(&prev.L2), Mem: h.Mem.CaptureDelta(&prev.Mem)}
+}
+
+// MatchesDelta reports whether the forked hierarchy holds exactly the
+// state d describes.
+func (h *Hierarchy) MatchesDelta(d *HierDelta) bool {
+	return h.L1I.MatchesDelta(&d.L1I) && h.L1D.MatchesDelta(&d.L1D) &&
+		h.L2.MatchesDelta(&d.L2) && h.Mem.MatchesDelta(&d.Mem)
+}
+
+// Reset rolls a forked hierarchy back to its fork point.
 func (h *Hierarchy) Reset() {
 	h.Mem.Reset()
 	h.L1I.ResetToGolden()

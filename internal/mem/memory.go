@@ -9,7 +9,11 @@
 // faults land in the very bytes the pipeline fetches and loads.
 package mem
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"slices"
+)
 
 // AccessError reports an access outside any mapped range — architecturally
 // a bus error, classified as a Crash by the fault-effect analysis.
@@ -56,8 +60,13 @@ type Memory struct {
 
 	// CoW mode (golden != nil): pages[p] is consulted only while
 	// pageDirty[p] is set; Reset clears the dirty bits without freeing the
-	// page buffers, so reuse across faulty runs allocates nothing.
+	// page buffers, so reuse across faulty runs allocates nothing. A fork
+	// made by ForkAt also reads through overlay, the delta checkpoint's
+	// page copies (nil entries fall through to golden), which stays in
+	// place across Reset.
 	golden    []byte
+	at        *MemDelta
+	overlay   [][]byte
 	pages     [][]byte
 	pageDirty []bool
 	dirtyList []int
@@ -101,11 +110,7 @@ func (m *Memory) Read(addr uint64, buf []byte) error {
 		if n > len(buf) {
 			n = len(buf)
 		}
-		if m.pageDirty[p] {
-			copy(buf[:n], m.pages[p][po:])
-		} else {
-			copy(buf[:n], m.golden[off:])
-		}
+		copy(buf[:n], m.page(p)[po:])
 		off += uint64(n)
 		buf = buf[n:]
 	}
@@ -139,17 +144,36 @@ func (m *Memory) Write(addr uint64, data []byte) error {
 	return nil
 }
 
-// materialize gives page p a private copy of the golden bytes.
-func (m *Memory) materialize(p int) {
+// page returns the current bytes of page p of a forked memory.
+func (m *Memory) page(p int) []byte {
+	if m.pageDirty[p] {
+		return m.pages[p]
+	}
+	return m.checkpointPage(p)
+}
+
+// checkpointPage returns page p as it stood at the fork point: the
+// overlay's copy when the fork was made at a delta checkpoint, the golden
+// bytes otherwise.
+func (m *Memory) checkpointPage(p int) []byte {
+	if m.overlay != nil && m.overlay[p] != nil {
+		return m.overlay[p]
+	}
+	return m.goldenPage(p)
+}
+
+func (m *Memory) goldenPage(p int) []byte {
 	lo := p << pageShift
-	hi := lo + pageSize
-	if hi > m.size {
-		hi = m.size
-	}
+	return m.golden[lo:min(lo+pageSize, m.size)]
+}
+
+// materialize gives page p a private copy of its checkpoint bytes.
+func (m *Memory) materialize(p int) {
+	src := m.checkpointPage(p)
 	if m.pages[p] == nil {
-		m.pages[p] = make([]byte, hi-lo)
+		m.pages[p] = make([]byte, len(src))
 	}
-	copy(m.pages[p], m.golden[lo:hi])
+	copy(m.pages[p], src)
 	m.pageDirty[p] = true
 	m.dirtyList = append(m.dirtyList, p)
 	m.cow.PagesCopied++
@@ -171,9 +195,24 @@ func (m *Memory) Fork() *Memory {
 	}
 }
 
-// Reset rolls a forked memory back to the golden image by dropping every
-// dirty page — O(dirty pages), no allocation, no copying. Flat memories
-// ignore it.
+// ForkAt is Fork positioned at a delta checkpoint captured from another
+// fork of m: reads see m's image with d's pages laid over it, and Reset
+// returns to that view. d is shared read-only; nil is a plain Fork.
+func (m *Memory) ForkAt(d *MemDelta) *Memory {
+	n := m.Fork()
+	if d != nil {
+		n.at = d
+		n.overlay = make([][]byte, len(n.pages))
+		for k, p := range d.pages {
+			n.overlay[p] = d.data[k]
+		}
+	}
+	return n
+}
+
+// Reset rolls a forked memory back to its fork point (the golden image,
+// or the delta checkpoint of ForkAt) by dropping every dirty page —
+// O(dirty pages), no allocation, no copying. Flat memories ignore it.
 func (m *Memory) Reset() {
 	if m.golden == nil {
 		return
@@ -195,10 +234,83 @@ func (m *Memory) flat() []byte {
 		return m.data
 	}
 	out := append([]byte(nil), m.golden...)
-	for _, p := range m.dirtyList {
-		copy(out[p<<pageShift:], m.pages[p])
+	for _, p := range m.changedPages() {
+		copy(out[p<<pageShift:], m.page(p))
 	}
 	return out
+}
+
+// changedPages lists, in ascending order, every page of a forked memory
+// that may differ from the golden image: the fork point's delta pages and
+// the pages written since.
+func (m *Memory) changedPages() []int {
+	var ps []int
+	if m.at != nil {
+		ps = append(ps, m.at.pages...)
+	}
+	ps = append(ps, m.dirtyList...)
+	slices.Sort(ps)
+	return slices.Compact(ps)
+}
+
+// MemDelta is the memory half of a delta checkpoint: a copy of every page
+// a forked memory has changed relative to its golden image, in page
+// order. It is immutable once captured and may back any number of forks.
+type MemDelta struct {
+	pages []int
+	data  [][]byte
+}
+
+// CaptureDelta copies every page of the forked memory m that differs
+// from its golden image. prev, when non-nil, is an earlier capture of the
+// same fork: pages still equal to prev's copy share it.
+func (m *Memory) CaptureDelta(prev *MemDelta) MemDelta {
+	d := MemDelta{pages: m.changedPages()}
+	d.data = make([][]byte, len(d.pages))
+	j := 0 // cursor into prev.pages; both lists are sorted
+	for k, p := range d.pages {
+		cur := m.page(p)
+		if prev != nil {
+			for j < len(prev.pages) && prev.pages[j] < p {
+				j++
+			}
+			if j < len(prev.pages) && prev.pages[j] == p && bytes.Equal(prev.data[j], cur) {
+				d.data[k] = prev.data[j]
+				continue
+			}
+		}
+		d.data[k] = slices.Clone(cur)
+	}
+	return d
+}
+
+// MatchesDelta reports whether the forked memory m holds exactly the image
+// d describes, m's golden image with d's pages laid over it. m and d must
+// descend from the same golden image. Only the union of both sides'
+// changed pages is compared; every other page is the golden's on both.
+func (m *Memory) MatchesDelta(d *MemDelta) bool {
+	for k, p := range d.pages {
+		if !bytes.Equal(m.page(p), d.data[k]) {
+			return false
+		}
+	}
+	differs := func(p int) bool {
+		_, inD := slices.BinarySearch(d.pages, p)
+		return !inD && !bytes.Equal(m.page(p), m.goldenPage(p))
+	}
+	for _, p := range m.dirtyList {
+		if differs(p) {
+			return false
+		}
+	}
+	if m.at != nil {
+		for _, p := range m.at.pages {
+			if differs(p) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Clone returns an independent flat deep copy for checkpointing (CoW

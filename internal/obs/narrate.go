@@ -14,7 +14,8 @@ func Narrative(events []Event) []string {
 	var out []string
 	var squashes, squashedUops, forwards uint64
 	var sawFlip, sawStuck, sawRead, sawOverwrite, sawInvalid bool
-	var sawDiverge, sawWatchdog bool
+	var sawDiverge, sawWatchdog, sawConverge bool
+	var converged Event
 	var divergeCommit int
 	var verdict Event
 	var haveVerdict bool
@@ -43,6 +44,9 @@ func Narrative(events []Event) []string {
 			divergeCommit = e.Commit
 		case KindWatchdog:
 			sawWatchdog = true
+		case KindConverged:
+			sawConverge = true
+			converged = e
 		case KindVerdict:
 			verdict = e
 			haveVerdict = true
@@ -68,6 +72,8 @@ func Narrative(events []Event) []string {
 		why = "the run exceeded its watchdog cycle budget — the fault wedged the machine into a hang (classified Crash)."
 	case sawDiverge:
 		why = fmt.Sprintf("the fault escaped to architectural state: the commit stream first diverged from the golden trace at commit #%d.", divergeCommit)
+	case sawConverge:
+		why = fmt.Sprintf("the run's whole state rejoined the golden run at cycle %d, so the rest of it is the golden run — masked, with %d golden cycles left unsimulated.", converged.Cycle, converged.N)
 	case haveVerdict && strings.EqualFold(verdict.Detail, "masked") && sawRead:
 		why = "the corrupted value was consumed, but its effect never reached architectural outputs — logically masked downstream."
 	case haveVerdict && strings.EqualFold(verdict.Detail, "masked") && (sawFlip || sawStuck):

@@ -64,6 +64,10 @@ const (
 	KindWatchdog
 	// KindVerdict: the run was classified; Detail carries the outcome.
 	KindVerdict
+	// KindConverged: the faulty run's whole state equalled a golden
+	// checkpoint, so its future is the golden run's and it ended there;
+	// N carries the golden cycles not simulated.
+	KindConverged
 )
 
 var kindNames = [...]string{
@@ -79,6 +83,7 @@ var kindNames = [...]string{
 	KindDiverged:        "divergence",
 	KindWatchdog:        "watchdog",
 	KindVerdict:         "verdict",
+	KindConverged:       "converged",
 }
 
 func (k Kind) String() string {

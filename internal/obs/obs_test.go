@@ -218,6 +218,11 @@ func TestNarrativeWhy(t *testing.T) {
 			"never consumed",
 		},
 		{
+			"converged",
+			[]Event{{Kind: KindFaultArmed}, {Kind: KindBitFlipped}, {Cycle: 900, Kind: KindConverged, N: 4000}, {Kind: KindVerdict, Detail: "masked"}},
+			"rejoined the golden run at cycle 900",
+		},
+		{
 			"consumed-but-masked",
 			[]Event{{Kind: KindFaultArmed}, {Kind: KindBitFlipped}, {Kind: KindCorruptRead}, {Kind: KindVerdict, Detail: "masked"}},
 			"logically masked downstream",

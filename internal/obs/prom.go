@@ -100,6 +100,10 @@ func writePromTargets(w io.Writer, targets []promTarget) {
 		func(s RegistrySnapshot) uint64 { return s.RungHits })
 	counter("marvel_replayed_cycles_total", "Pre-injection cycles replayed between fork and injection.",
 		func(s RegistrySnapshot) uint64 { return s.ReplayedCycles })
+	counter("marvel_converged_runs_total", "Faulty runs ended once their state equalled a golden checkpoint.",
+		func(s RegistrySnapshot) uint64 { return s.Converged })
+	counter("marvel_converged_cycles_total", "Golden cycles converged runs did not simulate.",
+		func(s RegistrySnapshot) uint64 { return s.ConvCycles })
 	counter("marvel_golden_runs_total", "Golden references built.",
 		func(s RegistrySnapshot) uint64 { return s.GoldenRuns })
 	counter("marvel_golden_hits_total", "Golden references served from cache.",

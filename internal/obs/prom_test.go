@@ -122,6 +122,7 @@ func TestWritePrometheusGlobalAndJobs(t *testing.T) {
 	reg.AddVerdict("sdc", true, true)
 	reg.AddVerdict("masked", false, false)
 	reg.AddForkStats(2, 6)
+	reg.AddConvergence(3, 4500)
 	reg.CellLatencyMS.Observe(0)
 	reg.CellLatencyMS.Observe(3)
 	reg.CellLatencyMS.Observe(500)
@@ -144,6 +145,8 @@ func TestWritePrometheusGlobalAndJobs(t *testing.T) {
 	for metric, typ := range map[string]string{
 		"marvel_faults_done_total":       "counter",
 		"marvel_fork_reuses_total":       "counter",
+		"marvel_converged_runs_total":    "counter",
+		"marvel_converged_cycles_total":  "counter",
 		"marvel_faults_per_sec":          "gauge",
 		"marvel_uptime_seconds":          "gauge",
 		"marvel_cell_latency_ms":         "histogram",
@@ -156,6 +159,8 @@ func TestWritePrometheusGlobalAndJobs(t *testing.T) {
 	}
 	for _, want := range []string{
 		"marvel_faults_done_total 2",
+		"marvel_converged_runs_total 3",
+		"marvel_converged_cycles_total 4500",
 		`marvel_faults_done_total{job="j-1"} 1`,
 		`marvel_faults_done_total{job="j-quote\"ed"} 1`,
 		`marvel_cell_latency_ms_bucket{le="0"} 1`,

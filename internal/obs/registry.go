@@ -106,6 +106,11 @@ type Registry struct {
 	// replayed between fork points and injection cycles.
 	RungHits       Counter
 	ReplayedCycles Counter
+	// Convergence: Converged counts CPU faulty runs that ended once their
+	// whole state equalled a golden checkpoint, ConvergedCycles the golden
+	// cycles they did not simulate.
+	Converged       Counter
+	ConvergedCycles Counter
 
 	// Sweep-level progress.
 	GoldenRuns    Counter
@@ -165,6 +170,13 @@ func (r *Registry) AddLadderStats(rungHits, replayedCycles uint64) {
 	r.ReplayedCycles.Add(replayedCycles)
 }
 
+// AddConvergence folds a campaign's convergence counters into the
+// registry.
+func (r *Registry) AddConvergence(runs, cycles uint64) {
+	r.Converged.Add(runs)
+	r.ConvergedCycles.Add(cycles)
+}
+
 // FaultsPerSec returns the observed classification rate, clocked from
 // the first verdict (not registry creation, whose idle setup and
 // golden-prep time would deflate the rate). 0 before any verdict.
@@ -214,6 +226,8 @@ type RegistrySnapshot struct {
 	ForkReuseRate  float64          `json:"fork_reuse_rate"`
 	RungHits       uint64           `json:"rung_hits"`
 	ReplayedCycles uint64           `json:"replayed_cycles"`
+	Converged      uint64           `json:"converged"`
+	ConvCycles     uint64           `json:"converged_cycles"`
 	GoldenRuns     uint64           `json:"golden_runs"`
 	GoldenHits     uint64           `json:"golden_hits"`
 	CellsStarted   uint64           `json:"cells_started"`
@@ -248,6 +262,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		ForkReuseRate:  r.ForkReuseRate(),
 		RungHits:       r.RungHits.Load(),
 		ReplayedCycles: r.ReplayedCycles.Load(),
+		Converged:      r.Converged.Load(),
+		ConvCycles:     r.ConvergedCycles.Load(),
 		GoldenRuns:     r.GoldenRuns.Load(),
 		GoldenHits:     r.GoldenHits.Load(),
 		CellsStarted:   r.CellsStarted.Load(),

@@ -135,7 +135,6 @@ func (r Request) grid() sweep.Spec {
 			WatchdogFactor:   o.WatchdogFactor,
 			PhysRegs:         o.PhysRegs,
 			Preset:           o.Preset,
-			LadderRungs:      o.LadderRungs,
 			Workers:          o.Workers,
 			CellParallel:     1,
 		}

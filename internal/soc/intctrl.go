@@ -1,6 +1,10 @@
 package soc
 
-import "marvel/internal/isa"
+import (
+	"slices"
+
+	"marvel/internal/isa"
+)
 
 // IntCtrl is the interrupt-controller abstraction behind which the SoC
 // hides the ISA-specific controller, mirroring the paper's port of
@@ -16,6 +20,8 @@ type IntCtrl interface {
 	Pending() bool
 	// Clone deep-copies controller state.
 	Clone() IntCtrl
+	// Equal reports whether o is the same model in the same state.
+	Equal(o IntCtrl) bool
 }
 
 // NewIntCtrl picks the controller the ISA's platform uses: the GIC for the
@@ -69,6 +75,12 @@ func (g *GIC) Pending() bool {
 		}
 	}
 	return false
+}
+
+// Equal implements IntCtrl.
+func (g *GIC) Equal(o IntCtrl) bool {
+	h, ok := o.(*GIC)
+	return ok && slices.Equal(g.lines, h.lines) && slices.Equal(g.enabled, h.enabled)
 }
 
 // Clone implements IntCtrl.
@@ -149,6 +161,13 @@ func (p *PLIC) Complete(line int) {
 	if p.claimed == line {
 		p.claimed = -1
 	}
+}
+
+// Equal implements IntCtrl.
+func (p *PLIC) Equal(o IntCtrl) bool {
+	q, ok := o.(*PLIC)
+	return ok && slices.Equal(p.lines, q.lines) && slices.Equal(p.priority, q.priority) &&
+		p.threshold == q.threshold && p.claimed == q.claimed
 }
 
 // Clone implements IntCtrl.

@@ -72,20 +72,27 @@ type System struct {
 	IntCtrl IntCtrl
 	devices []Device
 
-	// Injection-window markers captured from the program's magic
-	// directives (m5_checkpoint / m5_switch_cpu).
-	CheckpointCycle uint64
-	SwitchCycle     uint64
-	hasCheckpoint   bool
-	hasSwitch       bool
+	window
 
 	// CheckpointHook, when set, fires at the checkpoint directive (used by
 	// campaigns to snapshot state).
 	CheckpointHook func(cycle uint64)
 
 	// golden is the frozen checkpoint this system was forked from (nil
-	// for ordinary systems); Reset rolls back to it.
+	// for ordinary systems) and at the delta checkpoint ForkAt positioned
+	// it at (nil for a plain Fork); Reset rolls back to golden with at
+	// applied.
 	golden *System
+	at     *Delta
+}
+
+// window holds the injection-window markers captured from the program's
+// magic directives (m5_checkpoint / m5_switch_cpu).
+type window struct {
+	CheckpointCycle uint64
+	SwitchCycle     uint64
+	hasCheckpoint   bool
+	hasSwitch       bool
 }
 
 // New builds a CPU system around a compiled image.
@@ -173,25 +180,36 @@ func (s *System) Run(budget uint64) RunResult {
 	return res
 }
 
-// RunChecked executes like Run but calls stop every `every` cycles; a true
-// return ends the simulation early (used by the campaign's dead-fault
-// early-termination optimization). The returned result reflects the state
-// at stop time.
-func (s *System) RunChecked(budget uint64, every uint64, stop func() bool) (RunResult, bool) {
+// RunChecked executes like Run with two early exits. stop, when non-nil,
+// is called every `every` cycles and a true return ends the run (the
+// campaign's dead-fault early termination): stopped is true and the
+// result reflects the state at stop time. probes are delta checkpoints
+// in cycle order: when the clock reaches a probe's cycle the system is
+// compared with it (MatchesDelta), and a match ends the run with
+// converged set to that probe and the result reflecting the state there.
+// Probing never shifts stop's polling cadence.
+func (s *System) RunChecked(budget uint64, every uint64, stop func() bool, probes []*Delta) (res RunResult, stopped bool, converged *Delta) {
 	if every == 0 {
 		every = 64
 	}
 	next := s.CPU.Cycle() + every
 	for !s.CPU.Done() && s.CPU.Cycle() < budget {
+		for len(probes) > 0 && probes[0].Cycle() <= s.CPU.Cycle() {
+			d := probes[0]
+			probes = probes[1:]
+			if s.MatchesDelta(d) {
+				return RunResult{Status: RunTimedOut, Cycles: s.CPU.Cycle(), Stats: s.CPU.Stats}, false, d
+			}
+		}
 		s.Step()
 		if s.CPU.Cycle() >= next {
 			if stop != nil && stop() {
-				return RunResult{Status: RunTimedOut, Cycles: s.CPU.Cycle(), Stats: s.CPU.Stats}, true
+				return RunResult{Status: RunTimedOut, Cycles: s.CPU.Cycle(), Stats: s.CPU.Stats}, true, nil
 			}
 			next = s.CPU.Cycle() + every
 		}
 	}
-	res := RunResult{Cycles: s.CPU.Cycle(), Stats: s.CPU.Stats}
+	res = RunResult{Cycles: s.CPU.Cycle(), Stats: s.CPU.Stats}
 	switch {
 	case s.CPU.Halted():
 		res.Status = RunCompleted
@@ -202,7 +220,7 @@ func (s *System) RunChecked(budget uint64, every uint64, stop func() bool) (RunR
 	default:
 		res.Status = RunTimedOut
 	}
-	return res, false
+	return res, false, nil
 }
 
 // RunUntilCycle advances to the given absolute cycle (used to position a
@@ -230,17 +248,7 @@ func (s *System) Output() []byte {
 // state), the checkpoint mechanism campaigns fork faulty runs from.
 func (s *System) Clone() *System {
 	h := s.Hier.Clone()
-	n := &System{
-		CPU:             s.CPU.Clone(h),
-		Hier:            h,
-		Mem:             h.Mem,
-		Bus:             s.Bus,
-		Img:             s.Img,
-		CheckpointCycle: s.CheckpointCycle,
-		SwitchCycle:     s.SwitchCycle,
-		hasCheckpoint:   s.hasCheckpoint,
-		hasSwitch:       s.hasSwitch,
-	}
+	n := &System{CPU: s.CPU.Clone(h), Hier: h, Mem: h.Mem, Bus: s.Bus, Img: s.Img, window: s.window}
 	if s.IntCtrl != nil {
 		n.IntCtrl = s.IntCtrl.Clone()
 	}
@@ -257,51 +265,109 @@ func (s *System) Clone() *System {
 // be stepped afterwards; each fork belongs to a single goroutine, but
 // many forks may share one snapshot. Like Clone, Fork does not carry
 // attached devices.
-func (s *System) Fork() *System {
-	h := s.Hier.Fork()
-	n := &System{
-		CPU:             s.CPU.Clone(h),
-		Hier:            h,
-		Mem:             h.Mem,
-		Bus:             s.Bus,
-		Img:             s.Img,
-		CheckpointCycle: s.CheckpointCycle,
-		SwitchCycle:     s.SwitchCycle,
-		hasCheckpoint:   s.hasCheckpoint,
-		hasSwitch:       s.hasSwitch,
-		golden:          s,
+func (s *System) Fork() *System { return s.ForkAt(nil) }
+
+// Delta is a delta checkpoint: the state a fork of some golden snapshot
+// reached at one cycle, held as a CPU clone plus copies of only the memory
+// pages and cache sets the fork changed since the snapshot. It is
+// immutable once captured. ForkAt starts new forks of the same snapshot
+// from it, and MatchesDelta tests whether another fork has reached exactly
+// its state.
+type Delta struct {
+	cpu     *cpu.CPU
+	hier    mem.HierDelta
+	intCtrl IntCtrl
+	window  window
+}
+
+// Cycle returns the cycle the checkpoint was captured at.
+func (d *Delta) Cycle() uint64 { return d.cpu.Cycle() }
+
+// CaptureDelta records the forked system's current state as a delta
+// checkpoint of its golden snapshot. prev, when non-nil, is an earlier
+// capture from the same fork; page and cache-set copies that have not
+// changed since are shared with it.
+func (s *System) CaptureDelta(prev *Delta) *Delta {
+	var ph *mem.HierDelta
+	if prev != nil {
+		ph = &prev.hier
 	}
+	d := &Delta{cpu: s.CPU.Clone(nil), hier: s.Hier.CaptureDelta(ph), window: s.window}
 	if s.IntCtrl != nil {
-		n.IntCtrl = s.IntCtrl.Clone()
+		d.intCtrl = s.IntCtrl.Clone()
 	}
-	n.hookMagic()
+	return d
+}
+
+// ForkAt is Fork positioned at d, a delta checkpoint captured from
+// another fork of s: the new fork starts in exactly d's state, and Reset
+// returns it there. nil is a plain Fork.
+func (s *System) ForkAt(d *Delta) *System {
+	var hd *mem.HierDelta
+	if d != nil {
+		hd = &d.hier
+	}
+	h := s.Hier.ForkAt(hd)
+	n := &System{Hier: h, Mem: h.Mem, Bus: s.Bus, Img: s.Img, golden: s, at: d}
+	c, _, _ := n.forkPoint()
+	n.CPU = c.Clone(h)
+	n.resetTop()
 	return n
+}
+
+// forkPoint returns the CPU, interrupt controller and window markers a
+// forked system resets to.
+func (s *System) forkPoint() (*cpu.CPU, IntCtrl, window) {
+	if d := s.at; d != nil {
+		return d.cpu, d.intCtrl, d.window
+	}
+	g := s.golden
+	return g.CPU, g.IntCtrl, g.window
+}
+
+// resetTop restores the system-level state of a fork to its fork point.
+func (s *System) resetTop() {
+	_, ic, w := s.forkPoint()
+	s.window = w
+	s.CheckpointHook = nil
+	if ic != nil {
+		s.IntCtrl = ic.Clone()
+	}
+	s.hookMagic()
+}
+
+// MatchesDelta reports whether the forked system s holds exactly the
+// state of d, a delta checkpoint of the same golden snapshot: CPU state
+// (SameState), interrupt controller, window markers and the union of both
+// sides' changed pages and cache sets. The simulator is deterministic, so
+// a match means s's future is d's. Hooks, devices and fork journals are
+// not state and are not compared.
+func (s *System) MatchesDelta(d *Delta) bool {
+	if s.window != d.window || !s.CPU.SameState(d.cpu) {
+		return false
+	}
+	if (s.IntCtrl == nil) != (d.intCtrl == nil) || s.IntCtrl != nil && !s.IntCtrl.Equal(d.intCtrl) {
+		return false
+	}
+	return s.Hier.MatchesDelta(&d.hier)
 }
 
 // Forked reports whether the system was created by Fork (and so supports
 // Reset).
 func (s *System) Forked() bool { return s.golden != nil }
 
-// Reset rolls a forked system back to its golden snapshot, reusing the
-// fork's storage: dirty memory pages are dropped, journaled cache sets
-// restored, CPU state copied back. After Reset the system is
-// indistinguishable from a fresh Clone of the snapshot.
+// Reset rolls a forked system back to its fork point, reusing the fork's
+// storage: dirty memory pages are dropped, journaled cache sets restored,
+// CPU state copied back. After Reset the system is indistinguishable from
+// a fresh fork of the same point.
 func (s *System) Reset() {
-	g := s.golden
-	if g == nil {
+	if s.golden == nil {
 		panic("soc: Reset on a system that was not created by Fork")
 	}
 	s.Hier.Reset()
-	s.CPU.ResetTo(g.CPU)
-	s.CheckpointCycle = g.CheckpointCycle
-	s.SwitchCycle = g.SwitchCycle
-	s.hasCheckpoint = g.hasCheckpoint
-	s.hasSwitch = g.hasSwitch
-	s.CheckpointHook = nil
-	if g.IntCtrl != nil {
-		s.IntCtrl = g.IntCtrl.Clone()
-	}
-	s.hookMagic()
+	c, _, _ := s.forkPoint()
+	s.CPU.ResetTo(c)
+	s.resetTop()
 }
 
 // ForkCounters reports the cumulative copy-on-write work of a forked

@@ -1,11 +1,16 @@
 package sweep_test
 
-// Ladder dispatch through the sweep orchestrator: a grid run with
-// checkpoint rungs must produce bit-identical per-cell digests to the
-// single-checkpoint grid (CPU and accelerator cells alike), the rung
-// counters must surface in Result.Counters, and — because LadderRungs is
-// deliberately excluded from the resume manifest's grid identity — a
-// journal written at one ladder depth must resume cleanly at another.
+// Ladder dispatch through the sweep orchestrator. The sweep's LadderRungs
+// reaches accelerator cells only — CPU cells always fork from their
+// golden's delta checkpoints — so a grid run with accelerator rungs must
+// produce bit-identical per-cell digests to the single-checkpoint grid
+// (CPU and accelerator cells alike), the rung counters must surface in
+// Result.Counters, CPU cells must report the same checkpoint counters at
+// every ladder depth, and — because LadderRungs is deliberately excluded
+// from the resume manifest's grid identity — a journal written at one
+// ladder depth must resume cleanly at another. CPU cells are checked
+// against the fork-free cold-start reference in internal/campaign
+// (TestLadderSweepCellsMatchColdStartReference).
 
 import (
 	"os"
@@ -55,15 +60,33 @@ func TestSweepLadderDifferential(t *testing.T) {
 			t.Errorf("%s: verdict counts diverge under the ladder", f.Key)
 		}
 	}
-	if laddered.Counters.RungHits == 0 {
-		t.Error("laddered sweep reported zero rung hits across the whole grid")
-	}
-	if flat.Counters.RungHits != 0 {
-		t.Errorf("flat sweep reported %d rung hits", flat.Counters.RungHits)
+	if laddered.Counters.RungHits <= flat.Counters.RungHits {
+		t.Errorf("accelerator rungs added no rung hits: %d laddered vs %d flat",
+			laddered.Counters.RungHits, flat.Counters.RungHits)
 	}
 	if laddered.Counters.ReplayedCycles >= flat.Counters.ReplayedCycles {
 		t.Errorf("ladder replayed %d pre-injection cycles, flat %d — the ladder should replay less",
 			laddered.Counters.ReplayedCycles, flat.Counters.ReplayedCycles)
+	}
+
+	// CPU cells ignore the sweep's ladder depth: their checkpoint counters
+	// are the same at every depth, and they do fork from checkpoints.
+	cpuOnly := func(rungs int) sweep.Counters {
+		spec := ladderSpec("", rungs)
+		spec.Designs = nil
+		res, err := sweep.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Counters
+	}
+	c0, c6 := cpuOnly(0), cpuOnly(6)
+	if c0.RungHits == 0 {
+		t.Error("CPU cells never forked from a delta checkpoint")
+	}
+	if c0.RungHits != c6.RungHits || c0.ReplayedCycles != c6.ReplayedCycles {
+		t.Errorf("CPU cells' checkpoint counters depend on the sweep's ladder depth: %d/%d hits, %d/%d replayed",
+			c0.RungHits, c6.RungHits, c0.ReplayedCycles, c6.ReplayedCycles)
 	}
 }
 

@@ -84,10 +84,11 @@ type Spec struct {
 	// "table2" is the paper's Table II; "fast" is the scaled-down test
 	// preset (small caches).
 	Preset string
-	// LadderRungs forwards the checkpoint ladder to every cell's campaign:
-	// snapshot the golden run at this many evenly spaced cycles inside the
-	// injection window and fork each transient run from the nearest rung
-	// before its injection cycle. 0 keeps the single checkpoint. Verdicts
+	// LadderRungs forwards the checkpoint ladder to every accelerator
+	// cell's campaign: snapshot the fault-free task at this many evenly
+	// spaced cycles and fork each transient run from the nearest rung
+	// before its injection cycle. 0 keeps the single checkpoint. CPU cells
+	// ignore it: their goldens always carry delta checkpoints. Verdicts
 	// and digests are bit-identical for every value, so the resume journal
 	// deliberately excludes it from the grid identity — a resumed sweep may
 	// change ladder depth.
@@ -524,6 +525,7 @@ func Run(spec Spec) (_ *Result, err error) {
 					}
 					spec.Metrics.AddForkStats(fc.Forks, fc.ReuseHits)
 					spec.Metrics.AddLadderStats(fc.RungHits, fc.ReplayedCycles)
+					spec.Metrics.AddConvergence(fc.Converged, fc.ConvergedCycles)
 					spec.Metrics.CellLatencyMS.Observe(uint64(rep.WallMS))
 				}
 				var jerr error
@@ -603,7 +605,6 @@ func runCell(spec Spec, pre config.Preset, cell Cell, workers int,
 			HVF:              spec.HVF,
 			EarlyTermination: spec.EarlyTermination,
 			WatchdogFactor:   spec.WatchdogFactor,
-			LadderRungs:      spec.LadderRungs,
 			TargetMargin:     spec.TargetMargin,
 			Confidence:       spec.Confidence,
 			MinFaults:        spec.MinFaults,

@@ -156,12 +156,6 @@ type CampaignOptions struct {
 	// Workers bounds campaign parallelism; 0 = GOMAXPROCS. Results are
 	// identical for every worker count.
 	Workers int
-	// LadderRungs snapshots the golden run at this many evenly spaced
-	// cycles inside the injection window and forks each transient run from
-	// the nearest rung before its injection cycle, replaying only the
-	// residual prefix. 0 keeps the single window-start checkpoint; results
-	// are bit-identical for every value.
-	LadderRungs int
 	// Preset selects the hardware configuration: "" or "table2" is the
 	// paper's Table II; "fast" is the scaled-down test preset.
 	Preset string
@@ -197,7 +191,7 @@ func (o CampaignOptions) Validate() error {
 	if _, err := sweep.SplitTarget(o.Target); err != nil {
 		return err
 	}
-	return validateSizing(o.Faults, o.LadderRungs, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
+	return validateSizing(o.Faults, 0, o.TargetMargin, o.Confidence, o.MinFaults, o.MaxFaults)
 }
 
 // validateSizing checks the sample-sizing knobs every campaign kind
@@ -251,19 +245,24 @@ type Report struct {
 	EarlyStops   int
 
 	// Forking stats: how the faulty runs were set up. Forks is one per
-	// active worker (and ladder rung it visited) and ForkReuses covers the
+	// active worker (and checkpoint it visited) and ForkReuses covers the
 	// rest of the masks.
 	Forks        uint64
 	ForkReuses   uint64
 	PagesCopied  uint64
 	SetsRestored uint64
-	// Checkpoint-ladder stats (see CampaignOptions.LadderRungs): Rungs is
-	// how many mid-window rungs were available, RungHits how many runs
-	// forked from one, ReplayedCycles the total pre-injection cycles
-	// replayed between fork points and injection cycles.
+	// Checkpoint stats: Rungs is how many golden delta checkpoints inside
+	// the injection window were available, RungHits how many runs forked
+	// from one, ReplayedCycles the total pre-injection cycles replayed
+	// between fork points and injection cycles.
 	Rungs          int
 	RungHits       uint64
 	ReplayedCycles uint64
+	// Converged counts runs that ended once their whole state equalled a
+	// golden checkpoint; ConvergedCycles totals the golden cycles those
+	// runs did not simulate.
+	Converged       uint64
+	ConvergedCycles uint64
 }
 
 // RunCampaign executes one CPU fault-injection campaign.
@@ -308,7 +307,6 @@ func RunCampaign(o CampaignOptions) (*Report, error) {
 		HVF:              o.HVF,
 		EarlyTermination: o.EarlyTermination,
 		WatchdogFactor:   o.WatchdogFactor,
-		LadderRungs:      o.LadderRungs,
 		TargetMargin:     o.TargetMargin,
 		Confidence:       o.Confidence,
 		MinFaults:        o.MinFaults,
@@ -332,38 +330,41 @@ func RunCampaign(o CampaignOptions) (*Report, error) {
 	if o.Metrics != nil {
 		o.Metrics.AddForkStats(res.Forking.Forks, res.Forking.ReuseHits)
 		o.Metrics.AddLadderStats(res.Forking.RungHits, res.Forking.ReplayedCycles)
+		o.Metrics.AddConvergence(res.Forking.Converged, res.Forking.ConvergedCycles)
 	}
 	return &Report{
-		Workload:       o.Workload,
-		ISA:            o.ISA,
-		Target:         res.Target,
-		Model:          o.Model,
-		Faults:         res.Counts.Total(),
-		Masked:         res.Counts.Masked,
-		SDC:            res.Counts.SDC,
-		Crash:          res.Counts.Crash,
-		AVF:            res.Counts.AVF(),
-		SDCAVF:         res.Counts.SDCAVF(),
-		CrashAVF:       res.Counts.CrashAVF(),
-		HVF:            res.Counts.HVF(),
-		HVFMeasured:    res.Counts.HVFMeasured(),
-		Margin:         res.Margin,
-		Z:              res.Z,
-		AchievedMargin: res.AchievedMargin,
-		Requested:      res.Requested,
-		FaultsSaved:    res.FaultsSaved,
-		Batches:        res.Batches,
-		GoldenCycles:   res.Golden.Cycles,
-		GoldenInsts:    res.Golden.Insts,
-		IPC:            res.Golden.Stats.IPC(),
-		EarlyStops:     res.Counts.EarlyStops,
-		Forks:          res.Forking.Forks,
-		ForkReuses:     res.Forking.ReuseHits,
-		PagesCopied:    res.Forking.PagesCopied,
-		SetsRestored:   res.Forking.CacheSetsRestored,
-		Rungs:          res.Forking.Rungs,
-		RungHits:       res.Forking.RungHits,
-		ReplayedCycles: res.Forking.ReplayedCycles,
+		Workload:        o.Workload,
+		ISA:             o.ISA,
+		Target:          res.Target,
+		Model:           o.Model,
+		Faults:          res.Counts.Total(),
+		Masked:          res.Counts.Masked,
+		SDC:             res.Counts.SDC,
+		Crash:           res.Counts.Crash,
+		AVF:             res.Counts.AVF(),
+		SDCAVF:          res.Counts.SDCAVF(),
+		CrashAVF:        res.Counts.CrashAVF(),
+		HVF:             res.Counts.HVF(),
+		HVFMeasured:     res.Counts.HVFMeasured(),
+		Margin:          res.Margin,
+		Z:               res.Z,
+		AchievedMargin:  res.AchievedMargin,
+		Requested:       res.Requested,
+		FaultsSaved:     res.FaultsSaved,
+		Batches:         res.Batches,
+		GoldenCycles:    res.Golden.Cycles,
+		GoldenInsts:     res.Golden.Insts,
+		IPC:             res.Golden.Stats.IPC(),
+		EarlyStops:      res.Counts.EarlyStops,
+		Forks:           res.Forking.Forks,
+		ForkReuses:      res.Forking.ReuseHits,
+		PagesCopied:     res.Forking.PagesCopied,
+		SetsRestored:    res.Forking.CacheSetsRestored,
+		Rungs:           res.Forking.Rungs,
+		RungHits:        res.Forking.RungHits,
+		ReplayedCycles:  res.Forking.ReplayedCycles,
+		Converged:       res.Forking.Converged,
+		ConvergedCycles: res.Forking.ConvergedCycles,
 	}, nil
 }
 
@@ -574,8 +575,9 @@ type SweepOptions struct {
 	// Preset selects the CPU hardware configuration: "" or "table2" is
 	// the paper's Table II; "fast" is the scaled-down test preset.
 	Preset string
-	// LadderRungs forwards the checkpoint ladder to every cell's campaign
-	// (see CampaignOptions.LadderRungs); results are bit-identical for
+	// LadderRungs forwards the checkpoint ladder to every accelerator
+	// cell's campaign (see AccelOptions.LadderRungs; CPU cells always fork
+	// from the golden's delta checkpoints). Results are bit-identical for
 	// every value, so a resumed sweep may change it.
 	LadderRungs int
 
@@ -715,7 +717,8 @@ type SweepReport struct {
 	EarlyStops  int64
 	Forks       uint64
 	ForkReuses  uint64
-	// Checkpoint-ladder totals across all executed cells (see
+	// Checkpoint totals across all executed cells: CPU cells' delta
+	// checkpoints and accelerator cells' ladder rungs (see
 	// SweepOptions.LadderRungs).
 	RungHits       uint64
 	ReplayedCycles uint64

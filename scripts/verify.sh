@@ -21,9 +21,10 @@
 #      invariants; the cycle kernel's Step must be zero-alloc once warm,
 #      and the CPU and SoC packages race-free
 #   5. bench guard: the forking ablations and tracing-overhead benches
-#      compile and run, the checkpoint ladder demonstrably cuts
-#      pre-injection replay at least 2x on a long-window workload, and
-#      span profiling costs < 5% end-to-end on a parallel campaign
+#      compile and run, the checkpoint ladder (delta checkpoints plus
+#      convergence) demonstrably simulates at least 2x fewer cycles per
+#      fault than the cold-start reference, and span profiling costs < 5%
+#      end-to-end on a parallel campaign
 #   6. explain smoke test: the CLI narrates a known-SDC fault end to end
 #   7. server race job: the campaign service's worker pool, golden LRU,
 #      event streams and drain under the race detector, with served-vs-
@@ -98,15 +99,23 @@ for t in TestAccelCampaignEquivalence TestAccelInPlaceTaskMatchesRebuildReferenc
 done
 
 echo "== race: checkpoint-ladder dispatch equivalence =="
-# The ladder's rung-sorted dispatch and per-rung scratch systems are the
-# newest parallel surface: the differential suite must pass under the
-# race detector, serial and 8-worker alike, on both engines.
-go test -race -run 'TestLadderEquivalenceSerialAndParallel|TestLadderForkStatsAccounting' ./internal/campaign
+# The ladder's rung-sorted dispatch, per-checkpoint scratch systems and
+# the delta checkpoints they share read-only are the newest parallel
+# surface: the differential suite must pass under the race detector,
+# serial and 8-worker alike, on both engines. On the CPU engine it
+# compares against the cold-start reference, including cells where runs
+# converge.
+go test -race -run 'TestLadderEquivalenceSerialAndParallel|TestLadderForkStatsAccounting|TestLadderConvergenceDifferential' ./internal/campaign
 go test -race -run 'TestAccelLadderEquivalenceSerialAndParallel|TestAccelLadderForkStatsAccounting' ./internal/accel
 
-# Guard: the ladder-vs-baseline differentials must exist and actually
-# pass — they carry the proof that rung forking never changes a verdict.
-for t in TestLadderEquivalenceAllTargets TestLadderTracedNarrationIdentical TestLadderStraddlingMaskAppliesInCycleOrder; do
+# Guard: the ladder-vs-reference differentials must exist and actually
+# pass — they carry the proof that checkpoint forking and convergence
+# never change a verdict — as must the checks that every checkpoint is
+# the golden state, that golden prep on a fork equals a flat golden run,
+# and that the convergence check compares every state field.
+for t in TestLadderEquivalenceAllTargets TestLadderTracedNarrationIdentical TestLadderStraddlingMaskAppliesInCycleOrder \
+	TestLadderConvergenceDifferential TestLadderProgramWithoutDirectives TestLadderSweepCellsMatchColdStartReference \
+	TestLadderRungPlacement TestGoldenOnForkMatchesFlatRun TestCheckpointFootprint; do
 	go test -run "^${t}\$" -v ./internal/campaign | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: ladder differential guard: ${t} did not run/pass" >&2
 		exit 1
@@ -114,6 +123,12 @@ for t in TestLadderEquivalenceAllTargets TestLadderTracedNarrationIdentical Test
 done
 for t in TestAccelLadderEquivalenceAllDesigns TestAccelLadderEquivalenceWindowOverride; do
 	go test -run "^${t}\$" -v ./internal/accel | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: ladder differential guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
+for t in TestMatchesDeltaCoversEveryField TestForkAtResetReturnsToCheckpoint; do
+	go test -run "^${t}\$" -v ./internal/soc | grep -q -- "--- PASS: ${t}" || {
 		echo "verify: ladder differential guard: ${t} did not run/pass" >&2
 		exit 1
 	}
@@ -210,10 +225,12 @@ go test -run '^$' -bench 'BenchmarkAblation_CheckpointForking|BenchmarkAccelCamp
 go test -run '^$' -bench '^BenchmarkAccelRebuildReference$' -benchtime 1x ./internal/accel
 go test -run '^$' -bench 'BenchmarkTracerEmit' -benchtime 1000x ./internal/obs
 
-echo "== bench guard: ladder replay reduction =="
-# BenchmarkCampaignLadder fails (b.Fatalf) unless LadderRungs=8 cuts the
-# replayed pre-injection cycles at least 2x on the long-window workload.
-go test -run '^$' -bench '^BenchmarkCampaignLadder$' -benchtime 1x .
+echo "== bench guard: ladder simulated-cycle reduction =="
+# BenchmarkCampaignLadder fails (b.Fatalf) unless the checkpointed
+# campaign on riscv/qsort prf (200 faults) simulates at least 2x fewer
+# cycles per fault — replay plus post-injection cycles actually stepped
+# — than the cold-start reference, with an identical digest.
+go test -run '^$' -bench '^BenchmarkCampaignLadder$' -benchtime 1x ./internal/campaign
 
 echo "== bench guard: adaptive sizing savings =="
 # BenchmarkCampaignAdaptive fails (b.Fatalf) unless confidence-targeted
