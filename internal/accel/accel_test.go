@@ -1,6 +1,7 @@
 package accel
 
 import (
+	"strings"
 	"testing"
 
 	"marvel/internal/core"
@@ -294,5 +295,24 @@ func TestClusterClone(t *testing.T) {
 	}
 	if s.Cluster.TaskCycles() != c2.TaskCycles() {
 		t.Fatalf("clone diverged: %d vs %d", s.Cluster.TaskCycles(), c2.TaskCycles())
+	}
+}
+
+// TestOversizedBlockRejected: in-block instruction indices are int16, so
+// a block longer than maxBlockInstrs must be refused up front instead of
+// wrapping its dependency indices and scheduling wrongly.
+func TestOversizedBlockRejected(t *testing.T) {
+	instrs := make([]ir.Instr, maxBlockInstrs+1)
+	for i := range instrs[:maxBlockInstrs] {
+		instrs[i] = ir.Instr{Op: ir.OpConst, Dst: 0, A: ir.NoVal, B: ir.NoVal, C: ir.NoVal, Imm: int64(i)}
+	}
+	instrs[maxBlockInstrs] = ir.Instr{Op: ir.OpHalt, Dst: ir.NoVal, A: ir.NoVal, B: ir.NoVal, C: ir.NoVal}
+	prog := &ir.Program{Name: "huge", Blocks: []ir.Block{{Instrs: instrs}}, NumVals: 1}
+	if err := prog.Validate(); err != nil {
+		t.Fatalf("synthetic program must pass ir validation: %v", err)
+	}
+	_, err := newEngine(prog, DefaultFUs(), nil)
+	if err == nil || !strings.Contains(err.Error(), "32768 instructions") {
+		t.Fatalf("newEngine on a %d-instruction block: err %v, want a block-length error", len(instrs), err)
 	}
 }

@@ -124,7 +124,8 @@ type Cluster struct {
 
 	ph       phase
 	dmaQueue []Xfer
-	dmaPos   int // bytes moved within the current transfer
+	dmaPos   int                    // bytes moved within the current transfer
+	dmaBuf   [DMABytesPerCycle]byte // staging for one DMA cycle
 	cycle    uint64
 	startCyc uint64
 	doneCyc  uint64
@@ -244,6 +245,21 @@ func (c *Cluster) ScheduleFlip(bank int, bit, cycle uint64) {
 // Tick implements soc.Device: advances DMA or compute by one cycle.
 func (c *Cluster) Tick() {
 	c.cycle++
+	c.applyFlips()
+	switch c.ph {
+	case phDMAIn:
+		c.stepDMA(true)
+	case phCompute:
+		if !c.eng.tick() {
+			c.endCompute()
+		}
+	case phDMAOut:
+		c.stepDMA(false)
+	}
+}
+
+// applyFlips applies the scheduled transient flips that are due.
+func (c *Cluster) applyFlips() {
 	for i := 0; i < len(c.pending); {
 		if c.pending[i].cycle <= c.cycle {
 			pf := c.pending[i]
@@ -256,27 +272,23 @@ func (c *Cluster) Tick() {
 		}
 		i++
 	}
-	switch c.ph {
-	case phDMAIn:
-		c.stepDMA(true)
-	case phCompute:
-		if !c.eng.tick() {
-			if c.eng.fault != nil {
-				c.fault = c.eng.fault
-				c.finish()
-				return
-			}
-			c.ph = phDMAOut
-			c.dmaQueue = append(c.dmaQueue[:0], c.design.Out...)
-			c.dmaPos = 0
-			if len(c.dmaQueue) == 0 {
-				c.finish()
-			} else {
-				c.tracePhase()
-			}
-		}
-	case phDMAOut:
-		c.stepDMA(false)
+}
+
+// endCompute leaves the compute phase once the engine has stopped: a
+// faulted kernel ends the task, a finished one starts DMA-out.
+func (c *Cluster) endCompute() {
+	if c.eng.fault != nil {
+		c.fault = c.eng.fault
+		c.finish()
+		return
+	}
+	c.ph = phDMAOut
+	c.dmaQueue = append(c.dmaQueue[:0], c.design.Out...)
+	c.dmaPos = 0
+	if len(c.dmaQueue) == 0 {
+		c.finish()
+	} else {
+		c.tracePhase()
 	}
 }
 
@@ -306,7 +318,7 @@ func (c *Cluster) stepDMA(in bool) {
 	if n > DMABytesPerCycle {
 		n = DMABytesPerCycle
 	}
-	buf := make([]byte, n)
+	buf := c.dmaBuf[:n]
 	var err error
 	if in {
 		if err = c.host.ReadHost(hostAddr, buf); err == nil {
@@ -324,7 +336,9 @@ func (c *Cluster) stepDMA(in bool) {
 	}
 	c.dmaPos += n
 	if c.dmaPos >= x.Len {
-		c.dmaQueue = c.dmaQueue[1:]
+		// Shift in place: reslicing the head off would shrink the queue's
+		// capacity and make the next task's DMA plan allocate.
+		c.dmaQueue = c.dmaQueue[:copy(c.dmaQueue, c.dmaQueue[1:])]
 		c.dmaPos = 0
 		if len(c.dmaQueue) == 0 {
 			if in {

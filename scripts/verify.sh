@@ -19,9 +19,12 @@
 #      the golden path and must not perturb verdict streams; the sweep's
 #      Chrome-trace timeline export must satisfy the format's schema
 #      invariants; the cycle kernel's Step must be zero-alloc once warm,
-#      and the CPU and SoC packages race-free
-#   5. bench guard: the forking ablations and tracing-overhead benches
-#      compile and run, the checkpoint ladder (delta checkpoints plus
+#      and the CPU and SoC packages race-free; a warm accelerator fork's
+#      whole faulty task must be zero-alloc too
+#   4b. accelerator schedule guard: the timing pin table and the lockstep
+#      differential against the test-only scan scheduler must run and pass
+#   5. bench guard: the forking ablations, tracing-overhead and
+#      accelerator cycle-kernel benches compile and run, the checkpoint ladder (delta checkpoints plus
 #      convergence) demonstrably simulates at least 2x fewer cycles per
 #      fault than the cold-start reference, and span profiling costs < 5%
 #      end-to-end on a parallel campaign
@@ -193,7 +196,7 @@ for t in TestTracerZeroAlloc TestProfilerZeroAlloc; do
 	}
 done
 
-echo "== cycle-kernel guard: zero-alloc Step + front-end storage races =="
+echo "== cycle-kernel guard: zero-alloc Step and accelerator task + front-end storage races =="
 # A warm System.Step must allocate nothing on every ISA, fresh and after
 # a fork's Reset; the per-core decode, fetch and LSQ staging storage it
 # reuses must never be shared between a golden core and its forks.
@@ -202,6 +205,25 @@ go test -run '^TestStepZeroAlloc$' -v ./internal/soc | grep -q -- '--- PASS: Tes
 	exit 1
 }
 go test -race ./internal/cpu ./internal/soc
+# A warm accelerator fork must run a whole faulty task — Reset,
+# ScheduleFlip, Start and every Tick — without allocating.
+go test -run '^TestAccelTickZeroAlloc$' -v ./internal/accel | grep -q -- '--- PASS: TestAccelTickZeroAlloc' || {
+	echo "verify: zero-alloc accelerator-kernel guard: TestAccelTickZeroAlloc did not run/pass" >&2
+	exit 1
+}
+
+echo "== accelerator schedule guard: timing pin + scan-scheduler lockstep =="
+# The pin table fixes golden cycles, outputs and flipped-run digests for
+# every MachSuite design under eight FU sizings; the lockstep test checks
+# the wakeup scheduler against the test-only scan reference after every
+# Tick. Together they carry the proof that the scheduler never changes a
+# schedule or a verdict.
+for t in TestSchedulePin TestWakeupSchedulerMatchesScan TestOversizedBlockRejected; do
+	go test -run "^${t}\$" -v ./internal/accel | grep -q -- "--- PASS: ${t}" || {
+		echo "verify: accelerator schedule guard: ${t} did not run/pass" >&2
+		exit 1
+	}
+done
 
 # Guard: the profiling-vs-bare differentials must exist and pass on all
 # three layers (CPU engine, accelerator engine, sweep orchestrator) —
@@ -223,6 +245,7 @@ go test -run '^TestSweepProfilingDifferentialAndTimeline$' -v ./internal/sweep |
 echo "== bench guard: forking ablations + tracing overhead =="
 go test -run '^$' -bench 'BenchmarkAblation_CheckpointForking|BenchmarkAccelCampaign|BenchmarkTracingOverhead' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkAccelRebuildReference$' -benchtime 1x ./internal/accel
+go test -run '^$' -bench '^BenchmarkAccelTick$' -benchtime 1x ./internal/accel
 go test -run '^$' -bench 'BenchmarkTracerEmit' -benchtime 1000x ./internal/obs
 
 echo "== bench guard: ladder simulated-cycle reduction =="
